@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -237,17 +235,6 @@ def _cmd_hardy_theta(args) -> int:
     return 0
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NGCOST_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"NGCOST_THREADS must be an integer, got {raw!r}")
-    if count < 1:
-        raise ValueError(f"NGCOST_THREADS must be at least 1, got {count}")
-    return count
-
-
 def _grid(bounds: list[float], name: str, low: float, high: float) -> np.ndarray:
     start, stop, steps = bounds
     if steps != int(steps) or int(steps) < 1:
@@ -294,18 +281,8 @@ def _cmd_sweep(args) -> int:
     if "seesaw" in solvers and any(g.has_infinite_costs() for g in games):
         raise ValueError("grid contains infinite costs (w = 0); pass --cap to run the see-saw")
 
-    def compute(item) -> str:
-        (phi, w), game = item
-        return _csv_cells([phi, w], _solver_row(game, solvers, config))
-
-    threads = _thread_count()
-    work = list(zip(points, games))
-    if threads == 1:
-        lines = [compute(item) for item in work]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            lines = list(pool.map(compute, work))
-
+    lines = [_csv_cells([phi, w], _solver_row(game, solvers, config))
+             for (phi, w), game in zip(points, games)]
     _write_text(args.out, "\n".join([SWEEP_HEADER] + lines) + "\n")
     return 0
 

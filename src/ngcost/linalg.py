@@ -8,21 +8,23 @@ HERMITIAN_TOL = 1e-10
 
 
 def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or a stack of them.
 
-    Returns (w, v) with eigenvalues w in ascending order and eigenvectors
-    in the columns of v.  The input must be square and Hermitian within
-    1e-10 entrywise; the Hermitian average (H + H^dag)/2 is what actually
-    gets decomposed, so tiny asymmetries do not leak into the result.
+    Takes shape (..., d, d) and returns (w, v) with eigenvalues w[..., :]
+    in ascending order and eigenvectors in the columns of v[..., :, :].
+    Every matrix must be square and Hermitian within 1e-10 entrywise; the
+    Hermitian average (H + H^dag)/2 is what actually gets decomposed, so
+    tiny asymmetries do not leak into the result.
     """
     H = np.asarray(mat, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"herm_eig needs a square matrix, got shape {H.shape}")
+    if H.ndim < 2 or H.shape[-2] != H.shape[-1]:
+        raise ValueError(f"herm_eig needs square matrices, got shape {H.shape}")
     if H.size == 0:
         raise ValueError("herm_eig needs a nonempty matrix")
-    if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL:
+    H_dag = H.conj().swapaxes(-1, -2)
+    if np.max(np.abs(H - H_dag)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
-    return np.linalg.eigh((H + H.conj().T) / 2.0)
+    return np.linalg.eigh((H + H_dag) / 2.0)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

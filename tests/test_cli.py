@@ -276,27 +276,17 @@ def test_sweep_rejects_bad_ranges(capsys, argv):
     assert main(argv) == 2
 
 
-def test_sweep_identical_bytes_across_runs_and_threads(capsys, tmp_path, monkeypatch):
+def test_sweep_identical_bytes_across_runs_and_threads(capsys, tmp_path):
     args = ["sweep", "--phi-range", "0", "0.7", "2", "--w-range", "0.5", "1.5", "2",
             "--restarts", "3", "--seed", "4"]
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    monkeypatch.delenv("NGCOST_THREADS", raising=False)
     assert main(args + ["--out", str(paths[0])]) == 0
     assert main(args + ["--out", str(paths[1])]) == 0
-    monkeypatch.setenv("NGCOST_THREADS", "4")
     assert main(args + ["--out", str(paths[2])]) == 0
     capsys.readouterr()
     first = paths[0].read_bytes()
     assert paths[1].read_bytes() == first
     assert paths[2].read_bytes() == first
-
-
-def test_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("NGCOST_THREADS", "many")
-    code, _, err = run_cli(capsys, "sweep", "--phi-range", "0", "0", "1",
-                           "--w-range", "1", "1", "1", "--solvers", "classical")
-    assert code == 2
-    assert "NGCOST_THREADS" in err
 
 
 def test_hardy_cap_sweep(capsys, tmp_path):

@@ -50,6 +50,28 @@ def test_herm_eig_rejects_bad_input():
         herm_eig(np.zeros((0, 0)))
 
 
+def test_herm_eig_on_a_stack_matches_single_calls():
+    rng = np.random.default_rng(9)
+    for dim in range(2, 6):
+        stack = np.array([random_hermitian(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+        w, v = herm_eig(stack)
+        assert w.shape == (2, 3, dim) and v.shape == (2, 3, dim, dim)
+        for index in np.ndindex(2, 3):
+            w1, v1 = herm_eig(stack[index])
+            assert np.array_equal(w[index], w1)
+            assert np.array_equal(v[index], v1)
+
+
+def test_herm_eig_rejects_a_stack_with_one_non_hermitian_member():
+    rng = np.random.default_rng(10)
+    stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        herm_eig(stack)
+    with pytest.raises(ValueError):
+        herm_eig(np.zeros((3, 2, 3)))  # a stack of non-square matrices
+
+
 def test_kron_basics():
     sz = np.diag([1.0, -1.0])
     assert np.array_equal(kron(sz, np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0]))

@@ -139,6 +139,39 @@ def test_update_alice_reaches_the_exact_subproblem_optimum():
     assert abs(_cost_of(g, state, updated, bob) - expected) <= 1e-10
 
 
+@pytest.mark.parametrize("d_a, d_b", [(2, 3), (3, 2), (4, 4)])
+def test_updates_match_the_kron_partial_trace_reference(d_a, d_b):
+    # the loop the batched kernel replaced, kept as the reference
+    from ngcost.linalg import partial_trace_a
+    g = make_family_game(FamilyParams(1.1, 0.7))
+    rng = np.random.default_rng(59)
+    state = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
+    state /= np.linalg.norm(state)
+    alice = tuple(random_projective(rng, d_a) for _ in range(2))
+    bob = tuple(random_projective(rng, d_b) for _ in range(2))
+    rho = np.outer(state, state.conj())
+    weights = g.input_dist[:, :, None, None] * g.cost
+    R_a = np.zeros((2, 2, d_a, d_a), dtype=complex)  # (s, a, i, j)
+    R_b = np.zeros((2, 2, d_b, d_b), dtype=complex)  # (t, b, k, l)
+    for s, t, a, b in np.ndindex(2, 2, 2, 2):
+        R_a[s, a] += weights[s, t, a, b] * partial_trace_b(
+            kron(np.eye(d_a), bob[t][b]) @ rho, d_a, d_b)
+        R_b[t, b] += weights[s, t, a, b] * partial_trace_a(
+            kron(alice[s][a], np.eye(d_b)) @ rho, d_a, d_b)
+
+    def best_value(R):
+        total = 0.0
+        for x in range(2):
+            eigs = np.linalg.eigvalsh(R[x, 0] - R[x, 1])
+            total += eigs[eigs < 0.0].sum() + np.trace(R[x, 1]).real
+        return total
+
+    new_alice = update_alice(g, state, bob)
+    new_bob = update_bob(g, state, alice)
+    assert abs(_cost_of(g, state, new_alice, bob) - best_value(R_a)) <= 1e-10
+    assert abs(_cost_of(g, state, alice, new_bob) - best_value(R_b)) <= 1e-10
+
+
 def test_update_bob_mirrors_update_alice_on_symmetric_games():
     # family games are symmetric under swapping the parties
     g = make_family_game(FamilyParams(0.3, 1.2))
@@ -180,6 +213,59 @@ def test_update_rejects_infinite_costs_and_nonbinary_outcomes():
     wide_b = Game(2, 2, 2, 3, np.full((2, 2), 0.25), np.zeros((2, 2, 2, 3)))
     with pytest.raises(ValueError, match="n_b"):
         update_bob(wide_b, state, povms)
+
+
+def _random_batch(rng, size, n, dim):
+    return np.array([[random_projective(rng, dim) for _ in range(n)] for _ in range(size)])
+
+
+def test_steps_on_a_stack_match_single_calls():
+    rng = np.random.default_rng(56)
+    for game, d_a, d_b in [(make_family_game(FamilyParams(0.9, 1.4)), 2, 2),
+                           (cap_infinities(make_hardy_game(1.0), 10.0), 2, 3),
+                           (make_chsh_game(), 4, 2)]:
+        states = rng.normal(size=(5, d_a * d_b)) + 1j * rng.normal(size=(5, d_a * d_b))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        alice = _random_batch(rng, 5, 2, d_a)
+        bob = _random_batch(rng, 5, 2, d_b)
+        ops = game_operator(game, alice, bob)
+        new_alice = update_alice(game, states, bob)
+        new_bob = update_bob(game, states, alice)
+        best_states, best_costs = optimal_state(game, alice, bob)
+        assert ops.shape == (5, d_a * d_b, d_a * d_b)
+        assert new_alice.shape == (5, 2, 2, d_a, d_a)
+        assert new_bob.shape == (5, 2, 2, d_b, d_b)
+        assert best_states.shape == (5, d_a * d_b) and best_costs.shape == (5,)
+        for r in range(5):
+            assert np.max(np.abs(ops[r] - game_operator(game, alice[r], bob[r]))) <= 1e-12
+            assert np.max(np.abs(new_alice[r] - update_alice(game, states[r], bob[r]))) <= 1e-12
+            assert np.max(np.abs(new_bob[r] - update_bob(game, states[r], alice[r]))) <= 1e-12
+            state, cost = optimal_state(game, alice[r], bob[r])
+            assert isinstance(cost, float)
+            assert abs(best_costs[r] - cost) <= 1e-12
+            assert abs(abs(np.vdot(best_states[r], state)) - 1.0) <= 1e-12
+
+
+def test_update_rejects_mismatched_batch_axes():
+    rng = np.random.default_rng(58)
+    g = make_chsh_game()
+    states = rng.normal(size=(3, 4)) + 0j
+    with pytest.raises(ValueError, match="batch"):
+        update_alice(g, states, _random_batch(rng, 2, 2, 2))
+    with pytest.raises(ValueError, match="batch"):
+        update_bob(g, states[0].reshape(2, 2), _random_batch(rng, 1, 2, 2)[0])
+    with pytest.raises(ValueError, match="batch"):
+        game_operator(g, _random_batch(rng, 3, 2, 2), _random_batch(rng, 2, 2, 2))
+
+
+@pytest.mark.parametrize("game", [make_chsh_game(), cap_infinities(make_hardy_game(1.0), 10.0)],
+                         ids=["chsh", "capped-hardy"])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_batch_width_does_not_leak_between_restarts(game, dim):
+    k = 3
+    narrow = seesaw_upper_bound(game, SeesawConfig(d_a=dim, d_b=dim, restarts=k, seed=7))
+    wide = seesaw_upper_bound(game, SeesawConfig(d_a=dim, d_b=dim, restarts=2 * k, seed=7))
+    assert wide.traces[:k] == narrow.traces  # tuple equality also compares lengths
 
 
 def test_seesaw_chsh_reaches_tsirelson():
