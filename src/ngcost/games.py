@@ -165,9 +165,8 @@ def validate_game(game: Game) -> list[str]:
             f"input distribution has shape {dist.shape}, expected {(game.n_s, game.n_t)}"
         )
     else:
-        for (s, t), v in np.ndenumerate(dist):
-            if not (math.isfinite(v) and v >= 0):
-                problems.append(f"invalid input probability at ({s},{t}): {v}")
+        for s, t in zip(*np.nonzero(~(np.isfinite(dist) & (dist >= 0)))):
+            problems.append(f"invalid input probability at ({s},{t}): {dist[s, t]}")
         total = float(dist.sum())
         if abs(total - 1.0) > DIST_SUM_TOL:
             problems.append(f"input distribution not normalized (sum={total!r})")
@@ -177,9 +176,8 @@ def validate_game(game: Game) -> list[str]:
     if cost.shape != expected:
         problems.append(f"cost table has shape {cost.shape}, expected {expected}")
     else:
-        for (s, t, a, b), v in np.ndenumerate(cost):
-            if math.isnan(v) or v == -math.inf:
-                problems.append(f"invalid cost entry at ({s},{t},{a},{b}): {v}")
+        for s, t, a, b in zip(*np.nonzero(np.isnan(cost) | (cost == -math.inf))):
+            problems.append(f"invalid cost entry at ({s},{t},{a},{b}): {cost[s, t, a, b]}")
     return problems
 
 

@@ -11,6 +11,7 @@ from ngcost import (
     chsh_optimal_strategy,
     evaluate_quantum_strategy,
     hardy_strategy,
+    kron,
     load_strategy,
     make_chsh_game,
     make_hardy_game,
@@ -253,3 +254,37 @@ def test_strategy_from_dict_rejects_bad_documents():
     doc["state"] = [[v[0] * 0.5, v[1] * 0.5] for v in doc["state"]]
     with pytest.raises(ValueError, match="norm"):
         strategy_from_dict(doc)
+
+
+def random_povm(rng, dim, n_out):
+    """Projective measurement onto the columns of a random unitary, grouped into n_out outcomes."""
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(m)
+    groups = np.array_split(np.arange(dim), n_out)
+    return tuple(q[:, g] @ q[:, g].conj().T for g in groups)
+
+
+def kron_loop_behavior(qs):
+    """The Born rule one Kronecker product per (s, t, a, b), as behavior_of used to compute it."""
+    psi = qs.state
+    p = np.zeros((qs.n_s, qs.n_t, qs.n_a, qs.n_b))
+    for s in range(qs.n_s):
+        for t in range(qs.n_t):
+            for a in range(qs.n_a):
+                for b in range(qs.n_b):
+                    op = kron(qs.alice_povms[s][a], qs.bob_povms[t][b])
+                    p[s, t, a, b] = complex(np.vdot(psi, op @ psi)).real
+    return p
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 3), (3, 2), (4, 4)])
+def test_behavior_of_matches_the_kron_loop(d_a, d_b):
+    rng = np.random.default_rng(d_a * 10 + d_b)
+    for n_s, n_t, n_a, n_b in [(2, 2, 2, 2), (3, 2, 2, 3)]:
+        state = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
+        qs = QuantumStrategy(
+            d_a, d_b, state / np.linalg.norm(state),
+            tuple(random_povm(rng, d_a, n_a) for _ in range(n_s)),
+            tuple(random_povm(rng, d_b, n_b) for _ in range(n_t)),
+        )
+        assert np.max(np.abs(behavior_of(qs).p - kron_loop_behavior(qs))) <= 1e-14
