@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, validate_game
+from .games import Game, require_valid_game
 
 ENUMERATION_LIMIT = 10**8
 # Strategies are scanned in blocks of about this many partial-cost entries
@@ -154,9 +154,7 @@ def classical_cost(game: Game) -> tuple[float, DeterministicStrategy]:
     parties have more than ENUMERATION_LIMIT (10**8) strategies, or when
     more than that many pairs lie within rounding of the minimum.
     """
-    problems = validate_game(game)
-    if problems:
-        raise ValueError("; ".join(problems))
+    require_valid_game(game)
     n_alpha, n_beta = game.n_a ** game.n_s, game.n_b ** game.n_t
     if min(n_alpha, n_beta) > ENUMERATION_LIMIT:
         raise ValueError(

@@ -189,20 +189,19 @@ def _cmd_seesaw(args) -> int:
     report = seesaw_upper_bound(game, _seesaw_config(args))
     finals = [trace[-1] for trace in report.traces]
     iters = [len(trace) - 1 for trace in report.traces]
-    best_at = int(np.argmin(finals))
     if args.out:
         save_strategy(report.best_strategy, args.out)
     if args.json:
         print(json.dumps({
             "best_cost": _jsonable(report.best_cost),
             "restarts": report.restarts,
-            "best_restart": best_at,
+            "best_restart": report.best_restart,
             "final_costs": [_jsonable(v) for v in finals],
             "iterations": iters,
         }, indent=2))
     else:
         print(f"see-saw upper bound: {_fmt(report.best_cost)}")
-        print(f"restarts: {report.restarts}, best found at restart {best_at}")
+        print(f"restarts: {report.restarts}, best found at restart {report.best_restart}")
         print(f"iterations per restart: min {min(iters)}, "
               f"median {statistics.median(iters)}, max {max(iters)}")
         if args.out:
@@ -371,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_hardy_cap_sweep)
 
-    p = sub.add_parser("hardy-theta", help="optimize the Hardy strategy angle")
+    p = sub.add_parser("hardy-theta",
+                       help="closed-form optimal Hardy strategy angle and p(0,0|0,0)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hardy_theta)
 

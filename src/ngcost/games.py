@@ -181,6 +181,13 @@ def validate_game(game: Game) -> list[str]:
     return problems
 
 
+def require_valid_game(game: Game) -> None:
+    """Raise ValueError with validate_game's diagnostics, joined by "; "."""
+    problems = validate_game(game)
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def expected_cost(game: Game, p: np.ndarray) -> float:
     """Average cost of a probability table p(a, b | s, t) under the game.
 
@@ -232,26 +239,35 @@ def game_to_dict(game: Game) -> dict:
     }
 
 
-def game_from_dict(data: dict) -> Game:
+def _check_document(data, kind: str, fields: set[str], sizes: tuple[str, ...]) -> list[int]:
+    """Check a JSON document's field set and return its positive-integer sizes.
+
+    Shared by the game and strategy loaders; kind names the document in
+    the error messages.
+    """
     if not isinstance(data, dict):
-        raise ValueError("game document must be a JSON object")
+        raise ValueError(f"{kind} document must be a JSON object")
     keys = set(data)
-    if keys != _GAME_FIELDS:
-        unknown = sorted(keys - _GAME_FIELDS)
-        missing = sorted(_GAME_FIELDS - keys)
+    if keys != fields:
+        unknown = sorted(keys - fields)
+        missing = sorted(fields - keys)
         parts = []
         if unknown:
             parts.append(f"unknown fields {unknown}")
         if missing:
             parts.append(f"missing fields {missing}")
-        raise ValueError("invalid game document: " + ", ".join(parts))
-    sizes = []
-    for name in ("n_s", "n_t", "n_a", "n_b"):
+        raise ValueError(f"invalid {kind} document: " + ", ".join(parts))
+    for name in sizes:
         v = data[name]
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        sizes.append(v)
-    n_s, n_t, n_a, n_b = sizes
+    return [data[name] for name in sizes]
+
+
+def game_from_dict(data: dict) -> Game:
+    n_s, n_t, n_a, n_b = _check_document(
+        data, "game", _GAME_FIELDS, ("n_s", "n_t", "n_a", "n_b")
+    )
 
     dist_rows = data["input_dist"]
     if not isinstance(dist_rows, list) or len(dist_rows) != n_s:
@@ -282,9 +298,7 @@ def game_from_dict(data: dict) -> Game:
                     cost[s, t, a, b] = _cost_from_jsonable(v, f"({s},{t},{a},{b})")
 
     game = Game(n_s, n_t, n_a, n_b, dist, cost)
-    problems = validate_game(game)
-    if problems:
-        raise ValueError("; ".join(problems))
+    require_valid_game(game)
     return game
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .games import Game, expected_cost
+from .games import Game, expected_cost, require_valid_game
 from .quantum import Behavior
 from .simplex import LinearProgram, LpInfeasibleError, solve
 
@@ -45,8 +45,10 @@ def ns_lower_bound(game: Game) -> tuple[float, Behavior]:
     Every coordinate with infinite cost is removed from the LP (forced to
     exact zero) and contributes nothing to the objective.  Raises
     NonSignallingInfeasibleError when those zeros contradict the
-    normalization and marginal constraints.
+    normalization and marginal constraints, and ValueError when
+    validate_game reports a problem.
     """
+    require_valid_game(game)
     n_s, n_t, n_a, n_b = game.n_s, game.n_t, game.n_a, game.n_b
     n_vars = n_s * n_t * n_a * n_b
 

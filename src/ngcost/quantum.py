@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, expected_cost
+from .games import Game, _check_document, expected_cost
 # kron is no longer used here; it stays importable from this module because
 # benchmarks/tracer.py wraps it by name.
 from .linalg import kron  # noqa: F401
@@ -234,37 +234,17 @@ def hardy_strategy(theta: float) -> QuantumStrategy:
     return QuantumStrategy(2, 2, psi, povms, povms)
 
 
-def _hardy_p00(theta: float) -> float:
-    return float(behavior_of(hardy_strategy(theta)).p[0, 0, 0, 0])
-
-
 def optimize_hardy_theta() -> tuple[float, float]:
-    """Maximize p(0,0 | 0,0) over the Hardy strategies.
+    """The Hardy angle that maximizes p(0,0 | 0,0), and that probability.
 
-    A 1000-point grid over (0, pi/2) brackets the maximum, then golden
-    section tightens the bracket below 1e-12.  Returns (theta, p).
+    With x = cos^2 theta, p00(theta) = sin^2 theta cos^4 theta / (1 + cos^2 theta)
+    = x^2 (1 - x) / (1 + x), whose derivative vanishes where x^2 + x = 1.
+    So cos^2 theta* = tan^2 theta* = (sqrt 5 - 1)/2 and p* = x^5 =
+    (5 sqrt 5 - 11)/2 (Hardy, PRL 71, 1665 (1993)).  Returns (theta, p),
+    where p is the Born-rule value of hardy_strategy(theta).
     """
-    grid = np.linspace(0.0, math.pi / 2, 1002)[1:-1]
-    values = [_hardy_p00(t) for t in grid]
-    k = int(np.argmax(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - ratio * (hi - lo)
-    x2 = lo + ratio * (hi - lo)
-    f1, f2 = _hardy_p00(x1), _hardy_p00(x2)
-    while hi - lo > 1e-12:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + ratio * (hi - lo)
-            f2 = _hardy_p00(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - ratio * (hi - lo)
-            f1 = _hardy_p00(x1)
-    theta = (lo + hi) / 2.0
-    return theta, _hardy_p00(theta)
+    theta = math.atan(math.sqrt((math.sqrt(5.0) - 1.0) / 2.0))
+    return theta, float(behavior_of(hardy_strategy(theta)).p[0, 0, 0, 0])
 
 
 def _complex_to_pair(z: complex) -> list[float]:
@@ -308,23 +288,7 @@ def strategy_to_dict(strategy: QuantumStrategy) -> dict:
 
 
 def strategy_from_dict(data: dict) -> QuantumStrategy:
-    if not isinstance(data, dict):
-        raise ValueError("strategy document must be a JSON object")
-    keys = set(data)
-    if keys != _STRATEGY_FIELDS:
-        unknown = sorted(keys - _STRATEGY_FIELDS)
-        missing = sorted(_STRATEGY_FIELDS - keys)
-        parts = []
-        if unknown:
-            parts.append(f"unknown fields {unknown}")
-        if missing:
-            parts.append(f"missing fields {missing}")
-        raise ValueError("invalid strategy document: " + ", ".join(parts))
-    for name in ("d_a", "d_b"):
-        v = data[name]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v!r}")
-    d_a, d_b = data["d_a"], data["d_b"]
+    d_a, d_b = _check_document(data, "strategy", _STRATEGY_FIELDS, ("d_a", "d_b"))
 
     state_raw = data["state"]
     if not isinstance(state_raw, list) or len(state_raw) != d_a * d_b:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import Game
+from .games import Game, require_valid_game
 # kron and the partial traces are no longer used here; they stay importable
 # from this module because benchmarks/tracer.py wraps them by name.
 from .linalg import herm_eig, kron, partial_trace_a, partial_trace_b  # noqa: F401
@@ -46,10 +46,11 @@ class SeesawConfig:
 
 @dataclass(frozen=True)
 class SeesawReport:
-    """Best value found, the strategy attaining it, and per-restart traces."""
+    """Best value found, the strategy attaining it, its restart and per-restart traces."""
 
     best_cost: float
     best_strategy: QuantumStrategy
+    best_restart: int
     traces: tuple[tuple[float, ...], ...] = field(repr=False)
 
     @property
@@ -194,8 +195,10 @@ def seesaw_upper_bound(game: Game, config: SeesawConfig = SeesawConfig()) -> See
     a restart leaves the stack, keeping its state, measurements and
     trace, when an iteration improves its cost by less than config.tol
     or after config.max_iters rounds.  Ties between restarts keep the
-    earliest one.
+    earliest one.  Raises ValueError when validate_game reports a
+    problem or the game has infinite costs.
     """
+    require_valid_game(game)
     _require_finite(game)
     if game.n_a != 2 or game.n_b != 2:
         raise ValueError(
@@ -221,4 +224,4 @@ def seesaw_upper_bound(game: Game, config: SeesawConfig = SeesawConfig()) -> See
             break
     best = int(np.argmin(cost))
     best_strategy = QuantumStrategy(config.d_a, config.d_b, state[best], alice[best], bob[best])
-    return SeesawReport(float(cost[best]), best_strategy, tuple(tuple(t) for t in traces))
+    return SeesawReport(float(cost[best]), best_strategy, best, tuple(tuple(t) for t in traces))

@@ -113,6 +113,14 @@ def test_quantum_hardy_angle(capsys):
     assert json.loads(out)["cost"] >= 0.125  # never below the NS floor
 
 
+def test_quantum_hardy_opt(capsys):
+    code, out, _ = run_cli(capsys, "quantum", "--builtin", "hardy", "--T", "1",
+                           "--strategy", "hardy:opt", "--json")
+    assert code == 0
+    p_max = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
+    assert abs(json.loads(out)["cost"] - (1.0 - p_max) / 4.0) <= 1e-12
+
+
 def test_quantum_strategy_parse_error(capsys):
     code, _, err = run_cli(capsys, "quantum", "--builtin", "chsh",
                            "--strategy", "hardy:xyz")

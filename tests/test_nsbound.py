@@ -20,6 +20,7 @@ from ngcost import (
     make_family_game,
     make_hardy_game,
     ns_lower_bound,
+    seesaw_upper_bound,
 )
 
 INF = math.inf
@@ -226,3 +227,25 @@ def test_ns_matches_scipy_on_assorted_games():
         ours, _ = ns_lower_bound(game)
         theirs = _scipy_ns_value(game)
         assert abs(ours - theirs) <= 1e-7
+
+
+def _chsh_with_cost_entry(entry):
+    cost = make_chsh_game().cost.copy()
+    cost[0, 1, 1, 0] = entry
+    return Game(2, 2, 2, 2, np.full((2, 2), 0.25), cost)
+
+
+INVALID_GAMES = {
+    "nan": (_chsh_with_cost_entry(math.nan), "invalid cost entry at \\(0,1,1,0\\): nan"),
+    "minus-inf": (_chsh_with_cost_entry(-INF), "invalid cost entry at \\(0,1,1,0\\): -inf"),
+    "unnormalized": (Game(2, 2, 2, 2, np.full((2, 2), 0.3), make_chsh_game().cost),
+                     "not normalized"),
+}
+
+
+@pytest.mark.parametrize("solver", [ns_lower_bound, seesaw_upper_bound], ids=["ns", "seesaw"])
+@pytest.mark.parametrize("case", sorted(INVALID_GAMES))
+def test_ns_and_seesaw_reject_invalid_games(solver, case):
+    game, message = INVALID_GAMES[case]
+    with pytest.raises(ValueError, match=message):
+        solver(game)

@@ -105,6 +105,15 @@ def test_optimize_hardy_theta_hits_golden_ratio(hardy_opt):
     assert abs(grid_max - p00) <= 1e-6
 
 
+def test_optimize_hardy_theta_is_the_closed_form(hardy_opt):
+    theta, p00 = hardy_opt
+    assert type(theta) is float
+    assert abs(math.cos(theta) ** 2 - GOLDEN) <= 1e-15
+    assert abs(math.tan(theta) ** 2 - GOLDEN) <= 1e-15
+    assert abs(p00 - hardy_p00_closed_form(theta)) <= 1e-15
+    assert abs(p00 - HARDY_P_MAX) <= 1e-15
+
+
 def test_hardy_strategy_cost_on_hardy_game(hardy_opt):
     theta, p00 = hardy_opt
     qs = hardy_strategy(theta)

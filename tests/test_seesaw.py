@@ -282,6 +282,9 @@ def test_seesaw_traces_are_monotone():
     for trace in report.traces:
         diffs = np.diff(np.array(trace))
         assert diffs.max() <= 1e-12
+    # the winning restart is the earliest whose final cost is the best
+    assert report.traces[report.best_restart][-1] == report.best_cost
+    assert all(trace[-1] > report.best_cost for trace in report.traces[:report.best_restart])
 
 
 def test_seesaw_is_deterministic():
