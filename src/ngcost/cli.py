@@ -20,6 +20,7 @@ from .games import (
     Game,
     auto_cap,
     cap_infinities,
+    expected_cost,
     load_game,
     make_chsh_game,
     make_family_game,
@@ -28,9 +29,10 @@ from .games import (
 from .nsbound import NonSignallingInfeasibleError, ns_lower_bound
 from .quantum import (
     Behavior,
+    _require_same_shape,
     behavior_of,
     chsh_optimal_strategy,
-    evaluate_quantum_strategy,
+    evaluate_quantum_strategy,  # noqa: F401  (unused; benchmarks/tracer.py wraps it here)
     hardy_strategy,
     load_strategy,
     optimize_hardy_theta,
@@ -160,8 +162,9 @@ def _cmd_classical(args) -> int:
 def _cmd_quantum(args) -> int:
     game = _resolve_game(args)
     strategy = _resolve_strategy(args.strategy)
-    value = evaluate_quantum_strategy(game, strategy)
+    _require_same_shape(game, strategy)
     behavior = behavior_of(strategy)
+    value = expected_cost(game, behavior.p)
     if args.json:
         print(json.dumps({
             "cost": _jsonable(value),

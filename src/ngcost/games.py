@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,15 @@ class Game:
         cost.flags.writeable = False
         object.__setattr__(self, "input_dist", dist)
         object.__setattr__(self, "cost", cost)
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        # pi(s, t) * C(a, b | s, t), read-only.  The see-saw's update and
+        # operator functions read it on every step; the arrays it is built
+        # from are frozen, so it is computed once per game.
+        weights = self.input_dist[:, :, None, None] * self.cost
+        weights.flags.writeable = False
+        return weights
 
     def has_infinite_costs(self) -> bool:
         return bool(np.isinf(self.cost).any())

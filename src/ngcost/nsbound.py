@@ -52,46 +52,33 @@ def ns_lower_bound(game: Game) -> tuple[float, Behavior]:
     n_s, n_t, n_a, n_b = game.n_s, game.n_t, game.n_a, game.n_b
     n_vars = n_s * n_t * n_a * n_b
 
-    def idx(s, t, a, b):
-        return ((s * n_t + t) * n_a + a) * n_b + b
-
     finite = np.isfinite(game.cost).ravel()
     free = np.flatnonzero(finite)
 
-    rows = []
-    rhs = []
+    # var[s, t, a, b] is the LP column of p(a, b | s, t).  Rows come in
+    # three blocks: normalization per (s, t); Alice's marginal, ordered
+    # (s, a, t) for t >= 1, as sum_b p(a,b|s,t) - p(a,b|s,t-1) = 0; and
+    # Bob's, ordered (t, b, s) for s >= 1, summing over a.
+    var = np.arange(n_vars).reshape(n_s, n_t, n_a, n_b)
+    alice_plus = var[:, 1:].transpose(0, 2, 1, 3).reshape(-1, n_b)
+    alice_minus = var[:, :-1].transpose(0, 2, 1, 3).reshape(-1, n_b)
+    bob_plus = var[1:].transpose(1, 3, 0, 2).reshape(-1, n_a)
+    bob_minus = var[:-1].transpose(1, 3, 0, 2).reshape(-1, n_a)
+    n_norm, n_alice = n_s * n_t, alice_plus.shape[0]
+    n_rows = n_norm + n_alice + bob_plus.shape[0]
 
-    for s in range(n_s):  # normalization per input pair
-        for t in range(n_t):
-            row = np.zeros(n_vars)
-            for a in range(n_a):
-                for b in range(n_b):
-                    row[idx(s, t, a, b)] = 1.0
-            rows.append(row)
-            rhs.append(1.0)
+    a_full = np.zeros((n_rows, n_vars))
+    a_full[np.arange(n_norm)[:, None], var.reshape(n_norm, -1)] = 1.0
+    alice_rows = np.arange(n_norm, n_norm + n_alice)[:, None]
+    a_full[alice_rows, alice_plus] = 1.0
+    a_full[alice_rows, alice_minus] = -1.0
+    bob_rows = np.arange(n_norm + n_alice, n_rows)[:, None]
+    a_full[bob_rows, bob_plus] = 1.0
+    a_full[bob_rows, bob_minus] = -1.0
 
-    for s in range(n_s):  # Alice's marginal independent of t
-        for a in range(n_a):
-            for t in range(1, n_t):
-                row = np.zeros(n_vars)
-                for b in range(n_b):
-                    row[idx(s, t, a, b)] = 1.0
-                    row[idx(s, t - 1, a, b)] -= 1.0
-                rows.append(row)
-                rhs.append(0.0)
-
-    for t in range(n_t):  # Bob's marginal independent of s
-        for b in range(n_b):
-            for s in range(1, n_s):
-                row = np.zeros(n_vars)
-                for a in range(n_a):
-                    row[idx(s, t, a, b)] = 1.0
-                    row[idx(s - 1, t, a, b)] -= 1.0
-                rows.append(row)
-                rhs.append(0.0)
-
-    a_eq = np.array(rows)[:, free]
-    b_eq = np.array(rhs)
+    a_eq = a_full[:, free]
+    b_eq = np.zeros(n_rows)
+    b_eq[:n_norm] = 1.0
     weights = game.input_dist[:, :, None, None] * np.where(
         np.isfinite(game.cost), game.cost, 0.0
     )

@@ -172,14 +172,18 @@ def behavior_of(strategy: QuantumStrategy) -> Behavior:
     return Behavior(p.real)
 
 
-def evaluate_quantum_strategy(game: Game, strategy: QuantumStrategy) -> float:
-    """Expected cost of the strategy's behavior under the game."""
+def _require_same_shape(game: Game, strategy: QuantumStrategy) -> None:
     if (strategy.n_s, strategy.n_t) != (game.n_s, game.n_t) or \
             (strategy.n_a, strategy.n_b) != (game.n_a, game.n_b):
         raise ValueError(
             f"strategy shape ({strategy.n_s},{strategy.n_t},{strategy.n_a},{strategy.n_b}) "
             f"does not match game ({game.n_s},{game.n_t},{game.n_a},{game.n_b})"
         )
+
+
+def evaluate_quantum_strategy(game: Game, strategy: QuantumStrategy) -> float:
+    """Expected cost of the strategy's behavior under the game."""
+    _require_same_shape(game, strategy)
     return expected_cost(game, behavior_of(strategy).p)
 
 

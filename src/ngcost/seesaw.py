@@ -63,10 +63,6 @@ def _require_finite(game: Game) -> None:
         raise ValueError("game has infinite costs; cap them before running the see-saw")
 
 
-def _weights(game: Game) -> np.ndarray:
-    return game.input_dist[:, :, None, None] * game.cost
-
-
 def _povm_stack(povms, n_inputs: int, n_outcomes: int, who: str) -> np.ndarray:
     P = np.asarray(povms, dtype=complex)
     if P.ndim < 4 or P.shape[-4:-2] != (n_inputs, n_outcomes) or P.shape[-2] != P.shape[-1]:
@@ -90,7 +86,7 @@ def game_operator(game: Game, alice_povms, bob_povms) -> np.ndarray:
     if A.shape[:-4] != B.shape[:-4]:
         raise ValueError(f"batch axes differ: alice {A.shape[:-4]}, bob {B.shape[:-4]}")
     d_a, d_b = A.shape[-1], B.shape[-1]
-    bob_side = np.einsum("stab,...tbkl->...sakl", _weights(game), B)
+    bob_side = np.einsum("stab,...tbkl->...sakl", game._weights, B)
     G = np.einsum("...saij,...sakl->...ikjl", A, bob_side)
     return G.reshape(A.shape[:-4] + (d_a * d_b, d_a * d_b))
 
@@ -145,7 +141,7 @@ def update_alice(game: Game, state: np.ndarray, bob_povms) -> np.ndarray:
     B = _povm_stack(bob_povms, game.n_t, game.n_b, "bob")
     psi = _checked_state(state, B, "d_b")
     psi = psi.reshape(psi.shape[:-1] + (-1, B.shape[-1]))
-    return _best_response(_weights(game), psi, B)
+    return _best_response(game._weights, psi, B)
 
 
 def update_bob(game: Game, state: np.ndarray, alice_povms) -> np.ndarray:
@@ -161,7 +157,7 @@ def update_bob(game: Game, state: np.ndarray, alice_povms) -> np.ndarray:
     A = _povm_stack(alice_povms, game.n_s, game.n_a, "alice")
     psi = _checked_state(state, A, "d_a")
     psi = psi.reshape(psi.shape[:-1] + (A.shape[-1], -1)).swapaxes(-1, -2)
-    return _best_response(_weights(game).transpose(1, 0, 3, 2), psi, A)
+    return _best_response(game._weights.transpose(1, 0, 3, 2), psi, A)
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:

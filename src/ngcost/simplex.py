@@ -3,7 +3,18 @@
 Solves min c.x subject to A x = b, x >= 0.  Bland's rule picks both the
 entering column (lowest index with negative reduced cost) and the
 leaving row (lowest basic index among minimum ratios), which rules out
-cycling and makes every pivot sequence reproducible.
+cycling and makes every pivot sequence reproducible.  The leaving row is
+chosen by a sequential scan over the rows whose coefficient passes
+PIVOT_TOL: a ratio more than RATIO_TIE_TOL below the best so far wins,
+and a ratio within RATIO_TIE_TOL of it wins only with a lower basic index.
+
+A pivot divides the pivot row by the pivot entry, then subtracts
+t[r, col] * (pivot row) from every other row r whose pivot-column entry
+is nonzero, as one gathered rank-1 update.  Each entry gets exactly the
+floating-point operations of a row-by-row loop, so the pivots, the
+optimal vertex and its value do not depend on how the update is batched.
+Rows with a zero pivot-column entry are left untouched, which also keeps
+their signed zeros.
 """
 
 from __future__ import annotations
@@ -51,33 +62,31 @@ class LinearProgram:
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    hit = tableau[:, col] != 0.0
+    hit[row] = False
+    rows = hit.nonzero()[0]
+    tableau[rows] -= tableau[rows, col][:, None] * tableau[row]
 
 
 def _iterate(tableau: np.ndarray, basis: list[int], n_cols: int) -> None:
     n_rows = tableau.shape[0] - 1
     while True:
-        enter = -1
-        for j in range(n_cols):  # Bland: lowest eligible index
-            if tableau[-1, j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        eligible = (tableau[-1, :n_cols] < -PIVOT_TOL).nonzero()[0]
+        if eligible.size == 0:
             return
+        enter = int(eligible[0])  # Bland: lowest eligible index
+        column = tableau[:n_rows, enter]
+        candidates = (column > PIVOT_TOL).nonzero()[0]
+        if candidates.size == 0:
+            raise LpUnboundedError("objective is unbounded below")
+        ratios = tableau[candidates, -1] / column[candidates]
         leave = -1
         best_ratio = 0.0
-        for i in range(n_rows):
-            coeff = tableau[i, enter]
-            if coeff > PIVOT_TOL:
-                ratio = tableau[i, -1] / coeff
-                if (leave < 0 or ratio < best_ratio - RATIO_TIE_TOL or
-                        (abs(ratio - best_ratio) <= RATIO_TIE_TOL and basis[i] < basis[leave])):
-                    leave = i
-                    best_ratio = ratio
-        if leave < 0:
-            raise LpUnboundedError("objective is unbounded below")
+        for i, ratio in zip(candidates.tolist(), ratios.tolist()):
+            if (leave < 0 or ratio < best_ratio - RATIO_TIE_TOL or
+                    (abs(ratio - best_ratio) <= RATIO_TIE_TOL and basis[i] < basis[leave])):
+                leave = i
+                best_ratio = ratio
         _pivot(tableau, leave, enter)
         basis[leave] = enter
 
@@ -115,13 +124,10 @@ def solve(lp: LinearProgram) -> tuple[np.ndarray, float]:
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            enter = -1
-            for j in range(n):
-                if abs(tableau[i, j]) > PIVOT_TOL:
-                    enter = j
-                    break
-            if enter < 0:
+            usable = (np.abs(tableau[i, :n]) > PIVOT_TOL).nonzero()[0]
+            if usable.size == 0:
                 continue
+            enter = int(usable[0])
             _pivot(tableau, i, enter)
             basis[i] = enter
         keep.append(i)
@@ -137,7 +143,6 @@ def solve(lp: LinearProgram) -> tuple[np.ndarray, float]:
     _iterate(phase2, basis, n)
 
     x = np.zeros(n)
-    for i, var in enumerate(basis):
-        x[var] = phase2[i, -1]
+    x[basis] = phase2[:rows, -1]
     np.clip(x, 0.0, None, out=x)  # scrub -1e-16 round-off
     return x, float(c @ x)

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import ngcost
-from ngcost import load_strategy, make_chsh_game, save_game, validate_strategy
+from ngcost import (
+    Game,
+    chsh_optimal_strategy,
+    evaluate_quantum_strategy,
+    load_strategy,
+    make_chsh_game,
+    save_game,
+    validate_strategy,
+)
 from ngcost.cli import main
 
 TSIRELSON_COST = (2.0 - math.sqrt(2.0)) / 4.0
@@ -119,6 +127,38 @@ def test_quantum_hardy_opt(capsys):
     assert code == 0
     p_max = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
     assert abs(json.loads(out)["cost"] - (1.0 - p_max) / 4.0) <= 1e-12
+
+
+def test_quantum_shape_mismatch_message(capsys, tmp_path):
+    game = Game(3, 2, 2, 2, np.full((3, 2), 1.0 / 6.0), np.zeros((3, 2, 2, 2)))
+    path = tmp_path / "three_inputs.json"
+    save_game(game, str(path))
+    message = "strategy shape (2,2,2,2) does not match game (3,2,2,2)"
+    code, out, err = run_cli(capsys, "quantum", "--game", str(path),
+                             "--strategy", "chsh-optimal")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    with pytest.raises(ValueError) as exc:
+        evaluate_quantum_strategy(game, chsh_optimal_strategy())
+    assert str(exc.value) == message
+
+
+def test_quantum_evaluates_the_behavior_once(capsys, monkeypatch):
+    import ngcost.cli
+    import ngcost.quantum
+    original, calls = ngcost.quantum.behavior_of, []
+
+    def counted(strategy):
+        calls.append(strategy)
+        return original(strategy)
+
+    monkeypatch.setattr(ngcost.quantum, "behavior_of", counted)
+    monkeypatch.setattr(ngcost.cli, "behavior_of", counted)
+    for flag in ([], ["--json"]):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "quantum", "--builtin", "hardy",
+                             "--strategy", "hardy:0.5", *flag)
+        assert code == 0
+        assert len(calls) == 1
 
 
 def test_quantum_strategy_parse_error(capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from ns_games import captured_ns_lps, random_ns_games
 from scipy.optimize import linprog
 
 from ngcost import (
@@ -249,3 +250,59 @@ def test_ns_and_seesaw_reject_invalid_games(solver, case):
     game, message = INVALID_GAMES[case]
     with pytest.raises(ValueError, match=message):
         solver(game)
+
+
+def _loop_ns_program(game):
+    """The constraint builder before it was vectorized, kept as the reference."""
+    n_s, n_t, n_a, n_b = game.n_s, game.n_t, game.n_a, game.n_b
+    n_vars = n_s * n_t * n_a * n_b
+
+    def idx(s, t, a, b):
+        return ((s * n_t + t) * n_a + a) * n_b + b
+
+    free = np.flatnonzero(np.isfinite(game.cost).ravel())
+    rows, rhs = [], []
+    for s in range(n_s):
+        for t in range(n_t):
+            row = np.zeros(n_vars)
+            for a in range(n_a):
+                for b in range(n_b):
+                    row[idx(s, t, a, b)] = 1.0
+            rows.append(row)
+            rhs.append(1.0)
+    for s in range(n_s):
+        for a in range(n_a):
+            for t in range(1, n_t):
+                row = np.zeros(n_vars)
+                for b in range(n_b):
+                    row[idx(s, t, a, b)] = 1.0
+                    row[idx(s, t - 1, a, b)] -= 1.0
+                rows.append(row)
+                rhs.append(0.0)
+    for t in range(n_t):
+        for b in range(n_b):
+            for s in range(1, n_s):
+                row = np.zeros(n_vars)
+                for a in range(n_a):
+                    row[idx(s, t, a, b)] = 1.0
+                    row[idx(s - 1, t, a, b)] -= 1.0
+                rows.append(row)
+                rhs.append(0.0)
+    weights = game.input_dist[:, :, None, None] * np.where(
+        np.isfinite(game.cost), game.cost, 0.0
+    )
+    return np.array(rows)[:, free], np.array(rhs), weights.ravel()[free]
+
+
+def test_ns_program_matches_loop_builder_bitwise(monkeypatch):
+    games = random_ns_games(7, 30)
+    rng = np.random.default_rng(8)
+    for shape in [(1, 1, 2, 3), (1, 4, 2, 2), (3, 1, 3, 2), (2, 3, 1, 4)]:
+        cost = rng.uniform(0.0, 2.0, size=shape)
+        cost.flat[0] = INF
+        n_s, n_t = shape[:2]
+        games.append(Game(*shape, np.full((n_s, n_t), 1.0 / (n_s * n_t)), cost))
+    for game, lp in zip(games, captured_ns_lps(monkeypatch, games)):
+        for got, expected in zip((lp.a_eq, lp.b_eq, lp.c), _loop_ns_program(game)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()

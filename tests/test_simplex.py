@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from ns_games import captured_ns_lps, random_ns_games
 from scipy.optimize import linprog
 
 from ngcost import LinearProgram, LpInfeasibleError, LpUnboundedError, solve
+from ngcost.simplex import PIVOT_TOL, RATIO_TIE_TOL, _pivot
 
 
 def test_simple_equality_lp():
@@ -105,3 +109,195 @@ def test_random_lps_match_scipy():
         assert abs(value - ref.fun) <= 1e-7
         checked += 1
     assert checked >= 10
+
+
+# The row-by-row simplex before the pivot was vectorized, kept as the
+# reference: the vectorized code must take the same pivots and return the
+# same bytes.  `seen` counts the cases the comparison must exercise.
+def _ref_pivot(tableau, row, col):
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+
+
+def _ref_iterate(tableau, basis, n_cols, seen):
+    n_rows = tableau.shape[0] - 1
+    while True:
+        enter = -1
+        for j in range(n_cols):
+            if tableau[-1, j] < -PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return
+        leave = -1
+        best_ratio = 0.0
+        for i in range(n_rows):
+            coeff = tableau[i, enter]
+            if coeff > PIVOT_TOL:
+                ratio = tableau[i, -1] / coeff
+                if leave >= 0 and ratio != best_ratio and abs(ratio - best_ratio) <= RATIO_TIE_TOL:
+                    seen["inexact tie"] += 1
+                if (leave < 0 or ratio < best_ratio - RATIO_TIE_TOL or
+                        (abs(ratio - best_ratio) <= RATIO_TIE_TOL and basis[i] < basis[leave])):
+                    leave = i
+                    best_ratio = ratio
+        if leave < 0:
+            raise LpUnboundedError("objective is unbounded below")
+        _ref_pivot(tableau, leave, enter)
+        basis[leave] = enter
+
+
+def _ref_solve(lp, seen):
+    a = np.array(lp.a_eq)
+    b = np.array(lp.b_eq)
+    c = np.array(lp.c)
+    m, n = a.shape
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = a
+    tableau[:m, n:n + m] = np.eye(m)
+    tableau[:m, -1] = b
+    tableau[m, :n] = -a.sum(axis=0)
+    tableau[m, -1] = -b.sum()
+    basis = list(range(n, n + m))
+    _ref_iterate(tableau, basis, n + m, seen)
+    if -tableau[m, -1] > PIVOT_TOL:
+        raise LpInfeasibleError(
+            f"no feasible point: artificial residual {-tableau[m, -1]!r}"
+        )
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            enter = -1
+            for j in range(n):
+                if abs(tableau[i, j]) > PIVOT_TOL:
+                    enter = j
+                    break
+            if enter < 0:
+                seen["dropped row"] += 1
+                continue
+            _ref_pivot(tableau, i, enter)
+            basis[i] = enter
+        keep.append(i)
+    rows = len(keep)
+    phase2 = np.zeros((rows + 1, n + 1))
+    phase2[:rows, :n] = tableau[keep, :n]
+    phase2[:rows, -1] = tableau[keep, -1]
+    basis = [basis[i] for i in keep]
+    phase2[rows, :n] = c
+    for i, var in enumerate(basis):
+        phase2[rows] -= c[var] * phase2[i]
+    _ref_iterate(phase2, basis, n, seen)
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        x[var] = phase2[i, -1]
+    np.clip(x, 0.0, None, out=x)
+    return x, float(c @ x)
+
+
+def _outcome(solver, lp):
+    try:
+        x, value = solver(lp)
+    except (LpInfeasibleError, LpUnboundedError) as exc:
+        return type(exc), str(exc)
+    return "solved", x.dtype, x.shape, x.tobytes(), value
+
+
+def _assert_same_as_reference(lps):
+    seen = Counter()
+    for lp in lps:
+        expected = _outcome(lambda p: _ref_solve(p, seen), lp)
+        got = _outcome(solve, lp)
+        assert got == expected
+        seen[expected[0]] += 1
+    return seen
+
+
+def _random_lps(seed, count):
+    rng = np.random.default_rng(seed)
+    lps = []
+    for k in range(count):
+        m = int(rng.integers(2, 8))
+        n = int(rng.integers(m + 1, 14))
+        kind = k % 5
+        if kind == 0:  # real data, feasible by construction
+            a = rng.normal(size=(m, n))
+            b = a @ rng.uniform(0.0, 1.0, size=n)
+            c = rng.normal(size=n)
+        else:  # small integers: exact ties and zero right-hand sides
+            a = rng.integers(-2, 4, size=(m, n)).astype(float)
+            b = a @ rng.integers(0, 2, size=n) * rng.integers(0, 2, size=m)
+            c = rng.integers(-3, 4, size=n).astype(float)
+        if kind == 2:  # ratios tied within RATIO_TIE_TOL but not exactly
+            b = b + rng.integers(-3, 4, size=m) * 2e-13
+        if kind == 3:  # redundant rows: copies and exact doublings
+            dup = rng.integers(0, m, size=int(rng.integers(1, m + 1)))
+            scale = rng.choice([1.0, 2.0, -1.0], size=dup.size)
+            a = np.vstack([a, scale[:, None] * a[dup]])
+            b = np.concatenate([b, scale * b[dup]])
+        if kind == 4:  # nonnegative costs keep most of these bounded
+            c = np.abs(c)
+        lps.append(LinearProgram(c, a, b))
+    return lps
+
+
+def test_pivot_is_bitwise_equal_to_row_loop():
+    # sparse tableaux holding +0.0, -0.0 and negative entries: a rank-1 update
+    # over rows with a zero pivot-column entry would turn some -0.0 into +0.0
+    rng = np.random.default_rng(17)
+    values = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 3.0])
+    for _ in range(300):
+        shape = (int(rng.integers(2, 12)), int(rng.integers(2, 12)))
+        tableau = rng.choice(values, size=shape) * rng.choice([1.0, 0.7, -1.3], size=shape)
+        row, col = int(rng.integers(shape[0])), int(rng.integers(shape[1]))
+        tableau[row, col] = rng.choice([1.5, -2.0, 0.25])
+        expected = tableau.copy()
+        _ref_pivot(expected, row, col)
+        _pivot(tableau, row, col)
+        assert tableau.tobytes() == expected.tobytes()
+
+
+def test_vectorized_pivots_match_row_loop_on_random_lps():
+    seen = _assert_same_as_reference(_random_lps(41, 400))
+    assert seen["solved"] >= 100
+    assert seen[LpInfeasibleError] >= 50
+    assert seen[LpUnboundedError] >= 50
+    assert seen["inexact tie"] >= 100
+    assert seen["dropped row"] >= 70
+
+
+def test_vectorized_pivots_match_row_loop_on_constructed_edge_cases():
+    lps = [
+        # infeasible: one variable asked to equal 1 and 2
+        LinearProgram([0.0, 0.0], [[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0]),
+        # infeasible: nonnegative variables summing to -1
+        LinearProgram([1.0, 1.0], [[1.0, 1.0]], [-1.0]),
+        # unbounded: x grows freely with negative cost
+        LinearProgram([-1.0, 0.0], [[0.0, 1.0]], [1.0]),
+        # unbounded in phase 2 after a degenerate phase 1
+        LinearProgram([-1.0, -1.0, 0.0], [[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 1.0]),
+        # every row redundant but the first
+        LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [-3.0, -3.0]],
+                      [1.0, 1.0, 2.0, -3.0]),
+        # ratios 1 and 1 + 1e-13 tie; the lower basic index must leave
+        LinearProgram([-1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
+                      [1.0 + 1e-13, 1.0]),
+    ]
+    seen = _assert_same_as_reference(lps)
+    assert seen[LpInfeasibleError] == 2
+    assert seen[LpUnboundedError] == 2
+    assert seen["dropped row"] == 3
+
+
+def test_vectorized_pivots_match_row_loop_on_ns_lps(monkeypatch):
+    lps = captured_ns_lps(monkeypatch, random_ns_games(5, 30))
+    # 2x2x2x2 has 4 + 4 + 4 constraint rows, 5x5x4x4 has 25 + 80 + 80
+    assert (lps[0].a_eq.shape[0], lps[-1].a_eq.shape[0]) == (12, 185)
+    seen = _assert_same_as_reference(lps)
+    assert seen["solved"] >= 25
+    assert seen["inexact tie"] >= 1000
+    assert seen["dropped row"] >= 200
