@@ -239,7 +239,7 @@ def _cmd_hardy_theta(args) -> int:
 
 def _grid(bounds: list[float], name: str, low: float, high: float) -> np.ndarray:
     start, stop, steps = bounds
-    if steps != int(steps) or int(steps) < 1:
+    if not math.isfinite(steps) or steps != int(steps) or steps < 1:
         raise ValueError(f"{name} step count must be a positive integer, got {steps}")
     if not (low <= start <= stop <= high):
         raise ValueError(f"{name} range [{start}, {stop}] must sit inside [{low}, {high}]")

@@ -28,52 +28,57 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.flags.writeable = False
     return out
+
+
+def _freeze_povms(povms, name: str) -> np.ndarray:
+    try:
+        arr = _freeze(povms)
+    except ValueError as exc:
+        raise ValueError(f"{name} are ragged; expected (inputs, outcomes, d, d)") from exc
+    if arr.ndim != 4 or arr.shape[2] != arr.shape[3]:
+        raise ValueError(f"{name} have shape {arr.shape}, expected (inputs, outcomes, d, d)")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumStrategy:
     """Pure state plus per-input POVMs for both parties.
 
-    alice_povms[s][a] is a dA x dA matrix, bob_povms[t][b] is dB x dB,
-    and state is a vector of length dA*dB.  Arrays are copied and frozen.
+    alice_povms[s, a] is a dA x dA element of an (n_s, n_a, dA, dA) array,
+    bob_povms[t, b] is dB x dB, and state is a vector of length dA*dB.
+    Arrays are copied and frozen; ragged or non-square POVMs raise ValueError.
     """
 
     d_a: int
     d_b: int
     state: np.ndarray
-    alice_povms: tuple[tuple[np.ndarray, ...], ...]
-    bob_povms: tuple[tuple[np.ndarray, ...], ...]
+    alice_povms: np.ndarray
+    bob_povms: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "state", _freeze(self.state))
-        object.__setattr__(
-            self, "alice_povms",
-            tuple(tuple(_freeze(m) for m in povm) for povm in self.alice_povms),
-        )
-        object.__setattr__(
-            self, "bob_povms",
-            tuple(tuple(_freeze(m) for m in povm) for povm in self.bob_povms),
-        )
+        object.__setattr__(self, "alice_povms", _freeze_povms(self.alice_povms, "alice_povms"))
+        object.__setattr__(self, "bob_povms", _freeze_povms(self.bob_povms, "bob_povms"))
 
     @property
     def n_s(self) -> int:
-        return len(self.alice_povms)
+        return self.alice_povms.shape[0]
 
     @property
     def n_t(self) -> int:
-        return len(self.bob_povms)
+        return self.bob_povms.shape[0]
 
     @property
     def n_a(self) -> int:
-        return len(self.alice_povms[0]) if self.alice_povms else 0
+        return self.alice_povms.shape[1]
 
     @property
     def n_b(self) -> int:
-        return len(self.bob_povms[0]) if self.bob_povms else 0
+        return self.bob_povms.shape[1]
 
 
 def validate_strategy(strategy: QuantumStrategy) -> list[str]:
@@ -87,6 +92,8 @@ def validate_strategy(strategy: QuantumStrategy) -> list[str]:
     state = strategy.state
     if state.shape != (d_a * d_b,):
         problems.append(f"state has shape {state.shape}, expected ({d_a * d_b},)")
+    elif not np.isfinite(state).all():
+        problems.append("state has non-finite entries")
     else:
         norm = float(np.linalg.norm(state))
         if abs(norm - 1.0) > NORM_TOL:
@@ -94,35 +101,34 @@ def validate_strategy(strategy: QuantumStrategy) -> list[str]:
 
     for side, povms, dim in (("alice", strategy.alice_povms, d_a),
                              ("bob", strategy.bob_povms, d_b)):
-        if not povms:
+        if povms.shape[0] == 0:
             problems.append(f"{side} has no measurements")
             continue
-        n_out = len(povms[0])
-        for x, povm in enumerate(povms):
-            if len(povm) != n_out:
-                problems.append(f"{side} measurement {x} has {len(povm)} outcomes, expected {n_out}")
-                continue
-            total = np.zeros((dim, dim), dtype=complex)
-            for k, element in enumerate(povm):
-                if element.shape != (dim, dim):
-                    problems.append(
-                        f"{side} element ({x},{k}) has shape {element.shape}, expected {(dim, dim)}"
-                    )
-                    continue
-                if np.max(np.abs(element - element.conj().T)) > PSD_TOL:
-                    problems.append(f"{side} element ({x},{k}) is not Hermitian within 1e-10")
-                    continue
-                eigs = np.linalg.eigvalsh((element + element.conj().T) / 2.0)
-                if eigs[0] < -PSD_TOL:
-                    problems.append(
-                        f"{side} element ({x},{k}) has negative eigenvalue {eigs[0]!r}"
-                    )
-                total += element
-            deviation = float(np.max(np.abs(total - np.eye(dim))))
-            if deviation > SUM_TOL:
-                problems.append(
-                    f"{side} measurement {x} does not sum to identity (deviation {deviation!r})"
-                )
+        if povms.shape[2] != dim:
+            problems.append(
+                f"{side} elements have shape {povms.shape[2:]}, expected {(dim, dim)}"
+            )
+            continue
+        finite = np.isfinite(povms).all(axis=(2, 3))
+        # non-finite elements are reported as such and checked no further
+        checked = np.where(finite[:, :, None, None], povms, 0.0)
+        adjoint = checked.conj().swapaxes(2, 3)
+        hermitian = np.max(np.abs(checked - adjoint), axis=(2, 3)) <= PSD_TOL
+        lowest = np.linalg.eigvalsh((checked + adjoint) / 2.0)[..., 0]
+        deviation = np.max(np.abs(checked.sum(axis=1) - np.eye(dim)), axis=(1, 2))
+        for x, k in zip(*np.nonzero(~finite)):
+            problems.append(f"{side} element ({x},{k}) has non-finite entries")
+        for x, k in zip(*np.nonzero(~hermitian)):
+            problems.append(f"{side} element ({x},{k}) is not Hermitian within 1e-10")
+        for x, k in zip(*np.nonzero(hermitian & (lowest < -PSD_TOL))):
+            problems.append(
+                f"{side} element ({x},{k}) has negative eigenvalue {float(lowest[x, k])!r}"
+            )
+        for x in np.flatnonzero(finite.all(axis=1) & (deviation > SUM_TOL)):
+            problems.append(
+                f"{side} measurement {x} does not sum to identity "
+                f"(deviation {float(deviation[x])!r})"
+            )
     return problems
 
 
@@ -131,7 +137,8 @@ class Behavior:
     """Probability table p indexed by (s, t, a, b).
 
     Entries in [-1e-12, 0) are clamped to zero; anything more negative is
-    invalid, as is a per-input row that does not sum to 1 within 1e-9.
+    invalid, as are non-finite entries and a per-input row that does not
+    sum to 1 within 1e-9.
     """
 
     p: np.ndarray
@@ -140,6 +147,8 @@ class Behavior:
         arr = np.array(self.p, dtype=float)
         if arr.ndim != 4:
             raise ValueError(f"behavior table must have 4 axes (s,t,a,b), got {arr.ndim}")
+        if not np.isfinite(arr).all():
+            raise ValueError("behavior has non-finite entries")
         low = float(arr.min()) if arr.size else 0.0
         if low < -1e-12:
             raise ValueError(f"behavior has negative probability {low!r}")
@@ -158,11 +167,9 @@ def behavior_of(strategy: QuantumStrategy) -> Behavior:
     if problems:
         raise ValueError("; ".join(problems))
     psi = strategy.state.reshape(strategy.d_a, strategy.d_b)
-    alice = np.array(strategy.alice_povms)
-    bob = np.array(strategy.bob_povms)
     # right[t, b, k, j] = sum_l B^t_b[j, l] psi[k, l]
-    right = np.einsum("tbjl,kl->tbkj", bob, psi)
-    p = np.einsum("ij,saik,tbkj->stab", psi.conj(), alice, right)
+    right = np.einsum("tbjl,kl->tbkj", strategy.bob_povms, psi)
+    p = np.einsum("ij,saik,tbkj->stab", psi.conj(), strategy.alice_povms, right)
     worst = np.unravel_index(np.argmax(np.abs(p.imag)), p.shape)
     if abs(p.imag[worst]) > IMAG_TOL:
         s, t, a, b = (int(i) for i in worst)
@@ -251,31 +258,21 @@ def optimize_hardy_theta() -> tuple[float, float]:
     return theta, float(behavior_of(hardy_strategy(theta)).p[0, 0, 0, 0])
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _to_pairs(arr: np.ndarray) -> list:
+    """Nested lists of the array with each complex entry as a [re, im] pair."""
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
-def _matrix_to_pairs(mat: np.ndarray) -> list:
-    return [[_complex_to_pair(v) for v in row] for row in np.asarray(mat, dtype=complex)]
-
-
-def _pair_to_complex(value, where: str) -> complex:
-    if (not isinstance(value, list) or len(value) != 2 or
-            any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ValueError(f"{where} must be a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
-
-
-def _pairs_to_matrix(rows, dim: int, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise ValueError(f"{where} must be a {dim}x{dim} matrix")
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValueError(f"{where} row {i} must have {dim} entries")
-        for j, v in enumerate(row):
-            out[i, j] = _pair_to_complex(v, f"{where}[{i}][{j}]")
-    return out
+def _from_pairs(raw, depth: int, where: str):
+    """Nonempty lists nested depth deep around [re, im] pairs, as the same nesting of complex."""
+    if depth == 0:
+        if (not isinstance(raw, list) or len(raw) != 2 or
+                any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
+            raise ValueError(f"{where} must be a [re, im] pair, got {raw!r}")
+        return complex(raw[0], raw[1])
+    if not isinstance(raw, list) or not raw:
+        raise ValueError(f"{where} must be a nonempty list")
+    return [_from_pairs(v, depth - 1, f"{where}[{i}]") for i, v in enumerate(raw)]
 
 
 _STRATEGY_FIELDS = {"d_a", "d_b", "state", "alice_povms", "bob_povms"}
@@ -285,37 +282,23 @@ def strategy_to_dict(strategy: QuantumStrategy) -> dict:
     return {
         "d_a": strategy.d_a,
         "d_b": strategy.d_b,
-        "state": [_complex_to_pair(v) for v in strategy.state],
-        "alice_povms": [[_matrix_to_pairs(m) for m in povm] for povm in strategy.alice_povms],
-        "bob_povms": [[_matrix_to_pairs(m) for m in povm] for povm in strategy.bob_povms],
+        "state": _to_pairs(strategy.state),
+        "alice_povms": _to_pairs(strategy.alice_povms),
+        "bob_povms": _to_pairs(strategy.bob_povms),
     }
 
 
 def strategy_from_dict(data: dict) -> QuantumStrategy:
     d_a, d_b = _check_document(data, "strategy", _STRATEGY_FIELDS, ("d_a", "d_b"))
 
-    state_raw = data["state"]
-    if not isinstance(state_raw, list) or len(state_raw) != d_a * d_b:
+    state = _from_pairs(data["state"], 1, "state")
+    if len(state) != d_a * d_b:
         raise ValueError(f"state must be a list of {d_a * d_b} [re, im] pairs")
-    state = np.array(
-        [_pair_to_complex(v, f"state[{i}]") for i, v in enumerate(state_raw)], dtype=complex
+    strategy = QuantumStrategy(
+        d_a, d_b, state,
+        _from_pairs(data["alice_povms"], 4, "alice_povms"),
+        _from_pairs(data["bob_povms"], 4, "bob_povms"),
     )
-
-    povm_sets = []
-    for name, dim in (("alice_povms", d_a), ("bob_povms", d_b)):
-        raw = data[name]
-        if not isinstance(raw, list) or not raw:
-            raise ValueError(f"{name} must be a nonempty list of measurements")
-        povms = []
-        for x, povm_raw in enumerate(raw):
-            if not isinstance(povm_raw, list) or not povm_raw:
-                raise ValueError(f"{name}[{x}] must be a nonempty list of matrices")
-            povms.append(tuple(
-                _pairs_to_matrix(m, dim, f"{name}[{x}][{k}]") for k, m in enumerate(povm_raw)
-            ))
-        povm_sets.append(tuple(povms))
-
-    strategy = QuantumStrategy(d_a, d_b, state, povm_sets[0], povm_sets[1])
     problems = validate_strategy(strategy)
     if problems:
         raise ValueError("; ".join(problems))

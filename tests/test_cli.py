@@ -17,6 +17,7 @@ from ngcost import (
     load_strategy,
     make_chsh_game,
     save_game,
+    strategy_to_dict,
     validate_strategy,
 )
 from ngcost.cli import main
@@ -168,6 +169,29 @@ def test_quantum_strategy_parse_error(capsys):
     code, _, err = run_cli(capsys, "quantum", "--builtin", "chsh",
                            "--strategy", "/does/not/exist.json")
     assert code == 2
+
+
+def _corrupt_chsh_strategy(tmp_path, corrupt):
+    doc = strategy_to_dict(chsh_optimal_strategy())
+    corrupt(doc)
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda doc: doc["state"][1].__setitem__(0, math.nan), "state has non-finite entries"),
+    (lambda doc: doc["bob_povms"][1][0][0].__setitem__(1, [0.0, math.inf]),
+     "bob element (1,0) has non-finite entries"),
+    (lambda doc: doc["alice_povms"][1].pop(), "alice_povms are ragged"),
+    (lambda doc: doc["bob_povms"][0][1].append([[0.0, 0.0]] * 3), "bob_povms are ragged"),
+])
+def test_quantum_rejects_non_finite_and_ragged_strategy_files(capsys, tmp_path, corrupt, message):
+    path = _corrupt_chsh_strategy(tmp_path, corrupt)
+    for flag in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "quantum", "--builtin", "chsh", "--strategy", path, *flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
 
 
 def test_seesaw_chsh(capsys):
@@ -322,6 +346,17 @@ def test_sweep_classical_and_ns_run_uncapped(capsys):
 ])
 def test_sweep_rejects_bad_ranges(capsys, argv):
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("steps", ["inf", "nan"])
+@pytest.mark.parametrize("axis", ["--phi-range", "--w-range"])
+def test_sweep_rejects_non_finite_step_counts(capsys, axis, steps):
+    ranges = {"--phi-range": ["0", "1", "2"], "--w-range": ["1", "1", "1"]}
+    ranges[axis][2] = steps
+    code, out, err = run_cli(capsys, "sweep", "--phi-range", *ranges["--phi-range"],
+                             "--w-range", *ranges["--w-range"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {axis} step count must be a positive integer, got {steps}\n"
 
 
 def test_sweep_identical_bytes_across_runs_and_threads(capsys, tmp_path):

@@ -297,3 +297,141 @@ def test_behavior_of_matches_the_kron_loop(d_a, d_b):
             tuple(random_povm(rng, d_b, n_b) for _ in range(n_t)),
         )
         assert np.max(np.abs(behavior_of(qs).p - kron_loop_behavior(qs))) <= 1e-14
+
+
+def loop_validate_povms(qs):
+    """validate_strategy's POVM checks one element at a time, one eigvalsh per element.
+
+    The reference for the stacked checks: the same messages, grouped by kind
+    per side in (measurement, element) order.
+    """
+    problems = []
+    for side, povms, dim in (("alice", qs.alice_povms, qs.d_a), ("bob", qs.bob_povms, qs.d_b)):
+        non_finite, not_hermitian, negative, off = [], [], [], []
+        for x in range(povms.shape[0]):
+            total = np.zeros((dim, dim), dtype=complex)
+            for k in range(povms.shape[1]):
+                element = povms[x, k]
+                if not np.isfinite(element).all():
+                    non_finite.append(f"{side} element ({x},{k}) has non-finite entries")
+                    continue
+                total += element
+                if np.max(np.abs(element - element.conj().T)) > 1e-10:
+                    not_hermitian.append(f"{side} element ({x},{k}) is not Hermitian within 1e-10")
+                    continue
+                low = float(np.linalg.eigvalsh((element + element.conj().T) / 2.0)[0])
+                if low < -1e-10:
+                    negative.append(f"{side} element ({x},{k}) has negative eigenvalue {low!r}")
+            deviation = float(np.max(np.abs(total - np.eye(dim))))
+            if np.isfinite(povms[x]).all() and deviation > 1e-10:
+                off.append(f"{side} measurement {x} does not sum to identity "
+                           f"(deviation {deviation!r})")
+        problems += non_finite + not_hermitian + negative + off
+    return problems
+
+
+def perturb(rng, povms):
+    """Copy of a POVM stack with one element non-Hermitian, negative, off-sum or non-finite."""
+    out = np.array(povms)
+    n_in, n_out, dim, _ = out.shape
+    x, k = rng.integers(n_in), rng.integers(n_out)
+    eps = rng.choice([1e-11, 1e-9, 0.3])
+    kind = rng.choice(["hermitian", "negative", "sum", "non-finite"])
+    if kind == "hermitian":
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        out[x, k] += eps * (m - m.conj().T)
+    elif kind == "negative":
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        shift = eps * np.outer(v, v.conj()) / np.vdot(v, v).real
+        out[x, k] -= shift
+        out[x, (k + 1) % n_out] += shift
+    elif kind == "sum":
+        with np.errstate(invalid="ignore"):  # the element may already hold inf
+            out[x, k] *= 1.0 + eps
+    else:
+        i, j = rng.integers(dim, size=2)
+        out[x, k, i, j] = rng.choice([complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf])
+    return out
+
+
+def test_stacked_validation_matches_the_element_loop():
+    rng = np.random.default_rng(2024)
+    seen = {"non-finite": 0, "not Hermitian": 0, "negative eigenvalue": 0, "sum to identity": 0}
+    valid = 0
+    for _ in range(400):
+        d_a, d_b = rng.integers(1, 5, size=2)
+        n_s, n_t, n_a, n_b = rng.integers(1, 4, size=4)
+        state = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
+        alice = np.array([random_povm(rng, d_a, n_a) for _ in range(n_s)])
+        bob = np.array([random_povm(rng, d_b, n_b) for _ in range(n_t)])
+        for _ in range(rng.integers(0, 4)):
+            if rng.random() < 0.5:
+                alice = perturb(rng, alice)
+            else:
+                bob = perturb(rng, bob)
+        qs = QuantumStrategy(int(d_a), int(d_b), state / np.linalg.norm(state), alice, bob)
+        expected = loop_validate_povms(qs)
+        assert validate_strategy(qs) == expected
+        valid += not expected
+        for problem in expected:
+            seen[next(kind for kind in seen if kind in problem)] += 1
+    assert valid >= 50
+    assert min(seen.values()) >= 20, seen
+
+
+def test_strategy_construction_rejects_ragged_and_non_square_povms():
+    qs = chsh_optimal_strategy()
+    three = (np.eye(2) / 3.0,) * 3
+    with pytest.raises(ValueError, match="alice_povms are ragged"):
+        QuantumStrategy(2, 2, qs.state, (qs.alice_povms[0], three), qs.bob_povms)
+    with pytest.raises(ValueError, match="bob_povms are ragged"):
+        QuantumStrategy(2, 2, qs.state, qs.alice_povms, ((np.eye(2), np.zeros((3, 3))),))
+    with pytest.raises(ValueError, match=r"alice_povms have shape \(2, 2, 2\)"):
+        QuantumStrategy(2, 2, qs.state, qs.alice_povms[0], qs.bob_povms)
+    with pytest.raises(ValueError, match=r"bob_povms have shape \(1, 1, 2, 3\)"):
+        QuantumStrategy(2, 2, qs.state, qs.alice_povms, np.zeros((1, 1, 2, 3)))
+
+
+def test_strategy_povms_are_one_frozen_array_per_side():
+    qs = hardy_strategy(0.7)
+    for povms in (qs.alice_povms, qs.bob_povms):
+        assert povms.shape == (2, 2, 2, 2) and povms.dtype == complex
+        assert not povms.flags.writeable
+    assert (qs.n_s, qs.n_t, qs.n_a, qs.n_b) == (2, 2, 2, 2)
+    source = np.array(qs.alice_povms)
+    copy = QuantumStrategy(2, 2, qs.state, source, qs.bob_povms)
+    source[0, 0] = 0.0
+    assert validate_strategy(copy) == []
+
+
+def test_validate_strategy_reports_wrong_element_size():
+    qs = chsh_optimal_strategy()
+    qutrit = np.array([[np.eye(3)]])
+    bad = QuantumStrategy(2, 2, qs.state, qs.alice_povms, qutrit)
+    assert validate_strategy(bad) == ["bob elements have shape (3, 3), expected (2, 2)"]
+
+
+def test_validate_strategy_rejects_non_finite_entries():
+    qs = chsh_optimal_strategy()
+    for bad_value in (math.nan, math.inf):
+        state = np.array(qs.state)
+        state[1] = bad_value
+        bad = QuantumStrategy(2, 2, state, qs.alice_povms, qs.bob_povms)
+        assert validate_strategy(bad) == ["state has non-finite entries"]
+        with pytest.raises(ValueError, match="non-finite"):
+            behavior_of(bad)
+
+    bob = np.array(qs.bob_povms)
+    bob[1, 0, 0, 1] = complex(0.0, math.nan)
+    bad = QuantumStrategy(2, 2, qs.state, qs.alice_povms, bob)
+    assert validate_strategy(bad) == ["bob element (1,0) has non-finite entries"]
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate_quantum_strategy(make_chsh_game(), bad)
+
+
+@pytest.mark.parametrize("bad_value", [math.nan, math.inf, -math.inf])
+def test_behavior_rejects_non_finite_tables(bad_value):
+    p = np.full((2, 2, 2, 2), 0.25)
+    p[1, 0, 1, 1] = bad_value
+    with pytest.raises(ValueError, match="non-finite"):
+        Behavior(p)
