@@ -63,15 +63,11 @@ class Game:
 
 
 def make_chsh_game() -> Game:
-    """CHSH as a cost game: unit cost whenever a xor b != s*t, uniform inputs."""
-    cost = np.zeros((2, 2, 2, 2))
-    for s in range(2):
-        for t in range(2):
-            for a in range(2):
-                for b in range(2):
-                    if (a ^ b) != s * t:
-                        cost[s, t, a, b] = 1.0
-    return Game(2, 2, 2, 2, np.full((2, 2), 0.25), cost)
+    """CHSH as a cost game: unit cost whenever a xor b != s*t, uniform inputs.
+
+    This is the family endpoint G(0, 1).
+    """
+    return make_family_game(FamilyParams(0.0, 1.0))
 
 
 def make_hardy_game(T: float = 1.0) -> Game:
@@ -217,39 +213,32 @@ def expected_cost(game: Game, p: np.ndarray) -> float:
 _GAME_FIELDS = {"n_s", "n_t", "n_a", "n_b", "input_dist", "cost"}
 
 
-def _cost_to_jsonable(value: float):
-    return "inf" if math.isinf(value) else value
-
-
-def _cost_from_jsonable(value, where: str) -> float:
-    if value == "inf":
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"cost entry at {where} must be a number or \"inf\", got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"cost entry at {where} must be finite or the string \"inf\"")
+def _finite(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(value)
     return float(value)
 
 
+# Leaf parsers for _read_nested: what an entry must be, and how to read one.
+_PROBABILITY = ("an input probability (a finite number)", _finite)
+_COST_ENTRY = ('a cost entry (a finite number or "inf")',
+               lambda value: math.inf if value == "inf" else _finite(value))
+
+
 def game_to_dict(game: Game) -> dict:
+    cost = game.cost.astype(object)
+    cost[np.isinf(game.cost)] = "inf"
     return {
         "n_s": game.n_s,
         "n_t": game.n_t,
         "n_a": game.n_a,
         "n_b": game.n_b,
         "input_dist": game.input_dist.tolist(),
-        "cost": [
-            [
-                [[_cost_to_jsonable(game.cost[s, t, a, b]) for b in range(game.n_b)]
-                 for a in range(game.n_a)]
-                for t in range(game.n_t)
-            ]
-            for s in range(game.n_s)
-        ],
+        "cost": cost.tolist(),
     }
 
 
-def _check_document(data, kind: str, fields: set[str], sizes: tuple[str, ...]) -> list[int]:
+def _check_document(data, kind: str, fields: set[str], sizes: tuple[str, ...]) -> tuple[int, ...]:
     """Check a JSON document's field set and return its positive-integer sizes.
 
     Shared by the game and strategy loaders; kind names the document in
@@ -271,43 +260,50 @@ def _check_document(data, kind: str, fields: set[str], sizes: tuple[str, ...]) -
         v = data[name]
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
-    return [data[name] for name in sizes]
+    return tuple(data[name] for name in sizes)
+
+
+def _read_nested(raw, shape: tuple, leaf: tuple, where: str) -> list:
+    """Read nonempty JSON lists nested len(shape) deep into the same nesting of leaf values.
+
+    shape gives each level's length, None where any length will do.  leaf
+    is (description, parse): parse returns an entry's value or raises.
+    Errors name the field and the bracketed position, e.g. cost[0][1][1][0].
+    """
+    what, parse = leaf
+    path = []  # filled innermost first, and only while an error unwinds
+
+    def read(raw, depth):
+        if depth == len(shape):
+            try:
+                return parse(raw)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"must be {what}, got {raw!r}") from None
+        n = shape[depth]
+        if not isinstance(raw, list) or not raw or (n is not None and len(raw) != n):
+            raise ValueError("must be a nonempty list" if n is None
+                             else f"must be a list of {n} entries")
+        out = []
+        for i, entry in enumerate(raw):
+            try:
+                out.append(read(entry, depth + 1))
+            except ValueError:
+                path.append(i)
+                raise
+        return out
+
+    try:
+        return read(raw, 0)
+    except ValueError as exc:
+        position = "".join(f"[{i}]" for i in reversed(path))
+        raise ValueError(f"{where}{position} {exc}") from None
 
 
 def game_from_dict(data: dict) -> Game:
-    n_s, n_t, n_a, n_b = _check_document(
-        data, "game", _GAME_FIELDS, ("n_s", "n_t", "n_a", "n_b")
-    )
-
-    dist_rows = data["input_dist"]
-    if not isinstance(dist_rows, list) or len(dist_rows) != n_s:
-        raise ValueError(f"input_dist must be a list of {n_s} rows")
-    dist = np.zeros((n_s, n_t))
-    for s, row in enumerate(dist_rows):
-        if not isinstance(row, list) or len(row) != n_t:
-            raise ValueError(f"input_dist row {s} must be a list of {n_t} numbers")
-        for t, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"invalid input probability at ({s},{t}): {v!r}")
-            dist[s, t] = v
-
-    cost_nest = data["cost"]
-    if not isinstance(cost_nest, list) or len(cost_nest) != n_s:
-        raise ValueError(f"cost must be a list of {n_s} blocks")
-    cost = np.zeros((n_s, n_t, n_a, n_b))
-    for s, block_s in enumerate(cost_nest):
-        if not isinstance(block_s, list) or len(block_s) != n_t:
-            raise ValueError(f"cost[{s}] must be a list of {n_t} blocks")
-        for t, block in enumerate(block_s):
-            if not isinstance(block, list) or len(block) != n_a:
-                raise ValueError(f"cost[{s}][{t}] must be a list of {n_a} rows")
-            for a, row in enumerate(block):
-                if not isinstance(row, list) or len(row) != n_b:
-                    raise ValueError(f"cost[{s}][{t}][{a}] must be a list of {n_b} entries")
-                for b, v in enumerate(row):
-                    cost[s, t, a, b] = _cost_from_jsonable(v, f"({s},{t},{a},{b})")
-
-    game = Game(n_s, n_t, n_a, n_b, dist, cost)
+    shape = _check_document(data, "game", _GAME_FIELDS, ("n_s", "n_t", "n_a", "n_b"))
+    dist = _read_nested(data["input_dist"], shape[:2], _PROBABILITY, "input_dist")
+    cost = _read_nested(data["cost"], shape, _COST_ENTRY, "cost")
+    game = Game(*shape, dist, cost)
     require_valid_game(game)
     return game
 

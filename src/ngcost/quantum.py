@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, _check_document, expected_cost
+from .games import Game, _check_document, _read_nested, expected_cost
 # kron is no longer used here; it stays importable from this module because
 # benchmarks/tracer.py wraps it by name.
 from .linalg import kron  # noqa: F401
@@ -114,7 +114,8 @@ def validate_strategy(strategy: QuantumStrategy) -> list[str]:
         checked = np.where(finite[:, :, None, None], povms, 0.0)
         adjoint = checked.conj().swapaxes(2, 3)
         hermitian = np.max(np.abs(checked - adjoint), axis=(2, 3)) <= PSD_TOL
-        lowest = np.linalg.eigvalsh((checked + adjoint) / 2.0)[..., 0]
+        # halving first keeps huge finite entries from overflowing
+        lowest = np.linalg.eigvalsh(checked / 2.0 + adjoint / 2.0)[..., 0]
         deviation = np.max(np.abs(checked.sum(axis=1) - np.eye(dim)), axis=(1, 2))
         for x, k in zip(*np.nonzero(~finite)):
             problems.append(f"{side} element ({x},{k}) has non-finite entries")
@@ -263,16 +264,15 @@ def _to_pairs(arr: np.ndarray) -> list:
     return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
-def _from_pairs(raw, depth: int, where: str):
-    """Nonempty lists nested depth deep around [re, im] pairs, as the same nesting of complex."""
-    if depth == 0:
-        if (not isinstance(raw, list) or len(raw) != 2 or
-                any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
-            raise ValueError(f"{where} must be a [re, im] pair, got {raw!r}")
-        return complex(raw[0], raw[1])
-    if not isinstance(raw, list) or not raw:
-        raise ValueError(f"{where} must be a nonempty list")
-    return [_from_pairs(v, depth - 1, f"{where}[{i}]") for i, v in enumerate(raw)]
+def _pair(value) -> complex:
+    if (not isinstance(value, list) or len(value) != 2 or
+            any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+        raise ValueError(value)
+    return complex(*value)
+
+
+_PAIR = ("a [re, im] pair", _pair)  # leaf parser for games._read_nested
+_ANY_POVMS = (None, None, None, None)  # shapes are checked by QuantumStrategy
 
 
 _STRATEGY_FIELDS = {"d_a", "d_b", "state", "alice_povms", "bob_povms"}
@@ -291,13 +291,11 @@ def strategy_to_dict(strategy: QuantumStrategy) -> dict:
 def strategy_from_dict(data: dict) -> QuantumStrategy:
     d_a, d_b = _check_document(data, "strategy", _STRATEGY_FIELDS, ("d_a", "d_b"))
 
-    state = _from_pairs(data["state"], 1, "state")
-    if len(state) != d_a * d_b:
-        raise ValueError(f"state must be a list of {d_a * d_b} [re, im] pairs")
     strategy = QuantumStrategy(
-        d_a, d_b, state,
-        _from_pairs(data["alice_povms"], 4, "alice_povms"),
-        _from_pairs(data["bob_povms"], 4, "bob_povms"),
+        d_a, d_b,
+        _read_nested(data["state"], (d_a * d_b,), _PAIR, "state"),
+        _read_nested(data["alice_povms"], _ANY_POVMS, _PAIR, "alice_povms"),
+        _read_nested(data["bob_povms"], _ANY_POVMS, _PAIR, "bob_povms"),
     )
     problems = validate_strategy(strategy)
     if problems:

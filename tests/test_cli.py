@@ -194,6 +194,19 @@ def test_quantum_rejects_non_finite_and_ragged_strategy_files(capsys, tmp_path, 
         assert err.startswith("error: ") and message in err
 
 
+def test_quantum_rejects_huge_povm_entries_with_one_error_line(tmp_path):
+    path = _corrupt_chsh_strategy(
+        tmp_path, lambda doc: doc["bob_povms"][0][0][0].__setitem__(0, [1e308, 0.0]))
+    env = dict(os.environ, PYTHONPATH=str(Path(ngcost.__file__).resolve().parent.parent))
+    # a subprocess, so that numpy warnings reach stderr as they would for a user
+    result = subprocess.run(
+        [sys.executable, "-m", "ngcost", "quantum", "--builtin", "chsh", "--strategy", path],
+        capture_output=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.decode() == \
+        "error: bob measurement 0 does not sum to identity (deviation 1e+308)\n"
+
+
 def test_seesaw_chsh(capsys):
     code, out, _ = run_cli(capsys, "seesaw", "--builtin", "chsh",
                            "--restarts", "8", "--seed", "1", "--json")

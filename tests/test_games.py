@@ -96,6 +96,8 @@ def test_family_w_zero_uses_inf():
 def test_family_chsh_endpoint_is_exact():
     assert np.array_equal(make_family_game(FamilyParams(0.0, 1.0)).cost,
                           make_chsh_game().cost)
+    assert np.array_equal(make_family_game(FamilyParams(0.0, 1.0)).input_dist,
+                          make_chsh_game().input_dist)
 
 
 def test_family_hardy_endpoint():
@@ -293,3 +295,53 @@ def test_game_from_dict_runs_validation():
     doc["input_dist"] = [[0.5, 0.5], [0.5, 0.5]]
     with pytest.raises(ValueError, match="not normalized"):
         game_from_dict(doc)
+
+
+def _nested_error_cases(field, depth, entry, bad_entries):
+    """(path, replacement, message) for each list level of a CHSH field, then its entries.
+
+    Every level has length 2; each is probed along (1, 0, 1, 0) with a
+    non-list, an empty list and a list of 3.
+    """
+    cases = []
+    for level in range(depth + 1):
+        index = (1, 0, 1, 0)[:level]
+        where = field + "".join(f"[{i}]" for i in index)
+        if level == depth:
+            cases += [((field, *index), v, f"{where} must be {entry}, got {v!r}")
+                      for v in bad_entries]
+        else:
+            too_long = [0.0] * 3 if level == depth - 1 else [[0.0]] * 3
+            cases += [((field, *index), v, f"{where} must be a list of 2 entries")
+                      for v in ("x", [], too_long)]
+    return cases
+
+
+def _replace(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("path, value, message", (
+    _nested_error_cases("input_dist", 2, "an input probability (a finite number)",
+                        ("x", True, None, [0.25], math.nan, 10 ** 400))
+    + _nested_error_cases("cost", 4, 'a cost entry (a finite number or "inf")',
+                          ("infinity", False, -math.inf, [1.0]))
+))
+def test_game_from_dict_names_field_and_position(path, value, message):
+    doc = game_to_dict(make_chsh_game())
+    _replace(doc, path, value)
+    with pytest.raises(ValueError) as excinfo:
+        game_from_dict(doc)
+    assert str(excinfo.value) == message
+
+
+def test_game_json_text_is_pinned():
+    assert json.dumps(game_to_dict(make_hardy_game(1.0))) == (
+        '{"n_s": 2, "n_t": 2, "n_a": 2, "n_b": 2, '
+        '"input_dist": [[0.25, 0.25], [0.25, 0.25]], '
+        '"cost": [[[[0.0, 1.0], [1.0, 1.0]], [[0.0, "inf"], [0.0, 0.0]]], '
+        '[[[0.0, 0.0], ["inf", 0.0]], [["inf", 0.0], [0.0, 0.0]]]]}'
+    )

@@ -265,6 +265,54 @@ def test_strategy_from_dict_rejects_bad_documents():
         strategy_from_dict(doc)
 
 
+def _replace(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+def _strategy_error_cases():
+    """(path, replacement, message) for every level of state and alice_povms."""
+    pair = "a [re, im] pair"
+    cases = [(("state",), v, "state must be a list of 4 entries")
+             for v in ("x", [], [[0.0, 0.0]] * 5)]
+    cases += [(("state", 2), v, f"state[2] must be {pair}, got {v!r}")
+              for v in ([1.0], [1.0, "0"], [True, 0.0], 0.5)]
+    alice = strategy_to_dict(chsh_optimal_strategy())["alice_povms"]
+    for level in range(4):
+        index = (1, 0, 1)[:level]
+        where = "alice_povms" + "".join(f"[{i}]" for i in index)
+        cases += [(("alice_povms", *index), v, f"{where} must be a nonempty list")
+                  for v in ("x", [])]
+        if level > 0:
+            # any length passes the reader; one list longer than its siblings is ragged
+            longer = alice
+            for i in index:
+                longer = longer[i]
+            cases.append((("alice_povms", *index), longer + longer[:1],
+                          "alice_povms are ragged; expected (inputs, outcomes, d, d)"))
+    cases += [(("alice_povms", 1, 0, 1, 0), v,
+               f"alice_povms[1][0][1][0] must be {pair}, got {v!r}")
+              for v in ([0.0, False], [0.0], "0")]
+    return cases
+
+
+@pytest.mark.parametrize("path, value, message", _strategy_error_cases())
+def test_strategy_from_dict_names_field_and_position(path, value, message):
+    doc = strategy_to_dict(chsh_optimal_strategy())
+    _replace(doc, path, value)
+    with pytest.raises(ValueError) as excinfo:
+        strategy_from_dict(doc)
+    assert str(excinfo.value) == message
+
+
+def test_strategy_from_dict_reads_any_number_of_inputs():
+    doc = strategy_to_dict(chsh_optimal_strategy())
+    doc["alice_povms"].append(doc["alice_povms"][0])
+    assert strategy_from_dict(doc).n_s == 3
+
+
 def random_povm(rng, dim, n_out):
     """Projective measurement onto the columns of a random unitary, grouped into n_out outcomes."""
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
