@@ -56,13 +56,7 @@ def strategy_cost(game: Game, strategy: DeterministicStrategy) -> float:
     total = 0.0
     for s in range(game.n_s):
         for t in range(game.n_t):
-            weight = game.input_dist[s, t]
-            if weight == 0.0:
-                continue
-            c = game.cost[s, t, alpha[s], beta[t]]
-            if math.isinf(c):
-                return math.inf
-            total += weight * c
+            total += game._weights[s, t, alpha[s], beta[t]]
     return float(total)
 
 
@@ -79,18 +73,19 @@ def _first_minimum(values: np.ndarray, pairs: np.ndarray) -> tuple[float, tuple[
     return low, tuple(hits[np.lexsort(hits.T[::-1])[0]].tolist())
 
 
-def _best_pair(game: Game, weighted: np.ndarray, enumerate_alice: bool) -> tuple[int, ...] | None:
+def _best_pair(game: Game, enumerate_alice: bool) -> tuple[int, ...] | None:
     """The lexicographically first (alpha + beta) of least strategy_cost.
 
-    weighted[s, t, a, b] is pi(s, t) * C(a, b | s, t), 0 where pi is 0.
-    One party's strategies are enumerated; for each, the other party's
-    best response takes, input by input, the answer of least summed cost.
+    Pairs are scored on game._weights.  One party's strategies are
+    enumerated; for each, the other party's best response takes, input
+    by input, the answer of least summed cost.
     Summed in this order a pair's cost can differ by a few ulps from
     strategy_cost, which adds in (s, t) order, so the pairs within a
     rounding bound of the least are re-scored with strategy_cost.  That
     keeps the witness exactly that of a scan over all pairs.  Returns
     None when every pair costs +inf.
     """
+    weighted = game._weights
     n_s, n_t = weighted.shape[:2]
     # table[x, u, y, v]: the enumerated party answers u to input x, the other v to y
     table = weighted.transpose(0, 2, 1, 3) if enumerate_alice else weighted.transpose(1, 3, 0, 2)
@@ -161,10 +156,7 @@ def classical_cost(game: Game) -> tuple[float, DeterministicStrategy]:
             f"Alice has {n_alpha} and Bob {n_beta} deterministic strategies; "
             f"both exceed the enumeration limit {ENUMERATION_LIMIT}"
         )
-    weight = game.input_dist[:, :, None, None]
-    # zero-weight inputs contribute nothing, even on +inf entries
-    weighted = weight * np.where(weight > 0, game.cost, 0.0)
-    pair = _best_pair(game, weighted, enumerate_alice=n_alpha <= n_beta)
+    pair = _best_pair(game, enumerate_alice=n_alpha <= n_beta)
     if pair is None:
         pair = (0,) * (game.n_s + game.n_t)
     witness = DeterministicStrategy(pair[:game.n_s], pair[game.n_s:])

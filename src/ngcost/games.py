@@ -47,10 +47,11 @@ class Game:
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        # pi(s, t) * C(a, b | s, t), read-only.  The see-saw's update and
-        # operator functions read it on every step; the arrays it is built
-        # from are frozen, so it is computed once per game.
-        weights = self.input_dist[:, :, None, None] * self.cost
+        # pi(s, t) * C(a, b | s, t), and 0 wherever pi is 0, +inf entries
+        # included: the one weighted cost table every solver reads.
+        # Read-only, and computed once per game from the frozen arrays.
+        pi = self.input_dist[:, :, None, None]
+        weights = pi * np.where(pi > 0, self.cost, 0.0)
         weights.flags.writeable = False
         return weights
 
@@ -203,11 +204,11 @@ def expected_cost(game: Game, p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     if p.shape != game.cost.shape:
         raise ValueError(f"probability table has shape {p.shape}, expected {game.cost.shape}")
-    weight = game.input_dist[:, :, None, None]
-    infinite = np.isinf(game.cost)
-    if np.any(infinite & (weight > 0) & (p > INF_PROB_TOL)):
+    weights = game._weights
+    infinite = np.isinf(weights)
+    if np.any(infinite & (p > INF_PROB_TOL)):
         return math.inf
-    return float(np.sum(weight * np.where(infinite, 0.0, game.cost) * p))
+    return float(np.sum(np.where(infinite, 0.0, weights) * p))
 
 
 _GAME_FIELDS = {"n_s", "n_t", "n_a", "n_b", "input_dist", "cost"}

@@ -12,17 +12,19 @@ def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Takes shape (..., d, d) and returns (w, v) with eigenvalues w[..., :]
     in ascending order and eigenvectors in the columns of v[..., :, :].
-    Every matrix must be square and Hermitian within 1e-10 entrywise; the
-    Hermitian average (H + H^dag)/2 is what actually gets decomposed, so
-    tiny asymmetries do not leak into the result.
+    Every matrix must be square, finite and Hermitian within 1e-10
+    entrywise; the Hermitian average (H + H^dag)/2 is what actually gets
+    decomposed, so tiny asymmetries do not leak into the result.
     """
     H = np.asarray(mat, dtype=complex)
     if H.ndim < 2 or H.shape[-2] != H.shape[-1]:
         raise ValueError(f"herm_eig needs square matrices, got shape {H.shape}")
     if H.size == 0:
         raise ValueError("herm_eig needs a nonempty matrix")
+    if not np.isfinite(H).all():
+        raise ValueError("herm_eig needs finite entries")
     H_dag = H.conj().swapaxes(-1, -2)
-    if np.max(np.abs(H - H_dag)) > HERMITIAN_TOL:
+    if np.abs(H - H_dag).max() > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
     return np.linalg.eigh((H + H_dag) / 2.0)
 

@@ -3,7 +3,8 @@
 The non-signalling polytope relaxes the quantum set, so minimizing the
 expected cost over it bounds every quantum strategy from below.  The LP
 has one variable per behavior entry, minus the entries pinned to zero by
-infinite costs, with per-input normalization and marginal-consistency
+infinite costs of positive-weight inputs (a zero-weight input costs
+nothing anywhere), with per-input normalization and marginal-consistency
 equalities.
 """
 
@@ -42,9 +43,10 @@ def behavior_cost(game: Game, behavior: Behavior) -> float:
 def ns_lower_bound(game: Game) -> tuple[float, Behavior]:
     """Minimum cost over non-signalling behaviors and an optimal witness.
 
-    Every coordinate with infinite cost is removed from the LP (forced to
-    exact zero) and contributes nothing to the objective.  Raises
-    NonSignallingInfeasibleError when those zeros contradict the
+    Only the infinite entries of positive-weight inputs are removed from
+    the LP (forced to exact zero); a zero-weight input costs nothing
+    anywhere, so the witness may put mass there.  Raises
+    NonSignallingInfeasibleError when the forced zeros contradict the
     normalization and marginal constraints, and ValueError when
     validate_game reports a problem.
     """
@@ -52,8 +54,8 @@ def ns_lower_bound(game: Game) -> tuple[float, Behavior]:
     n_s, n_t, n_a, n_b = game.n_s, game.n_t, game.n_a, game.n_b
     n_vars = n_s * n_t * n_a * n_b
 
-    finite = np.isfinite(game.cost).ravel()
-    free = np.flatnonzero(finite)
+    weights = game._weights.ravel()
+    free = np.flatnonzero(np.isfinite(weights))
 
     # var[s, t, a, b] is the LP column of p(a, b | s, t).  Rows come in
     # three blocks: normalization per (s, t); Alice's marginal, ordered
@@ -79,10 +81,7 @@ def ns_lower_bound(game: Game) -> tuple[float, Behavior]:
     a_eq = a_full[:, free]
     b_eq = np.zeros(n_rows)
     b_eq[:n_norm] = 1.0
-    weights = game.input_dist[:, :, None, None] * np.where(
-        np.isfinite(game.cost), game.cost, 0.0
-    )
-    c = weights.ravel()[free]
+    c = weights[free]
 
     try:
         x, value = solve(LinearProgram(c, a_eq, b_eq))

@@ -113,10 +113,12 @@ def validate_strategy(strategy: QuantumStrategy) -> list[str]:
         # non-finite elements are reported as such and checked no further
         checked = np.where(finite[:, :, None, None], povms, 0.0)
         adjoint = checked.conj().swapaxes(2, 3)
-        hermitian = np.max(np.abs(checked - adjoint), axis=(2, 3)) <= PSD_TOL
+        # huge finite entries may overflow to inf here, which is then reported
+        with np.errstate(over="ignore"):
+            hermitian = np.max(np.abs(checked - adjoint), axis=(2, 3)) <= PSD_TOL
+            deviation = np.max(np.abs(checked.sum(axis=1) - np.eye(dim)), axis=(1, 2))
         # halving first keeps huge finite entries from overflowing
         lowest = np.linalg.eigvalsh(checked / 2.0 + adjoint / 2.0)[..., 0]
-        deviation = np.max(np.abs(checked.sum(axis=1) - np.eye(dim)), axis=(1, 2))
         for x, k in zip(*np.nonzero(~finite)):
             problems.append(f"{side} element ({x},{k}) has non-finite entries")
         for x, k in zip(*np.nonzero(~hermitian)):

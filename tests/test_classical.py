@@ -42,6 +42,34 @@ def test_strategy_cost_skips_zero_weight_inputs():
     assert strategy_cost(g, DeterministicStrategy((0, 0), (0, 0))) == 0.0
 
 
+def loop_strategy_cost(game, strategy):
+    """strategy_cost as it read before game._weights, kept as the reference."""
+    alpha, beta = strategy.alpha, strategy.beta
+    total = 0.0
+    for s in range(game.n_s):
+        for t in range(game.n_t):
+            weight = game.input_dist[s, t]
+            if weight == 0.0:
+                continue
+            c = game.cost[s, t, alpha[s], beta[t]]
+            if math.isinf(c):
+                return math.inf
+            total += weight * c
+    return float(total)
+
+
+def test_strategy_cost_equals_the_loop_reference_bitwise():
+    rng = np.random.default_rng(19)
+    for k in range(300):
+        shape = tuple(int(v) for v in rng.integers(1, 4, size=4))
+        game = random_game(rng, shape, kind=k % 3)  # kinds 0 and 2: negative costs
+        for _ in range(5):
+            strategy = DeterministicStrategy(tuple(rng.integers(0, shape[2], shape[0]).tolist()),
+                                             tuple(rng.integers(0, shape[3], shape[1]).tolist()))
+            got, expected = strategy_cost(game, strategy), loop_strategy_cost(game, strategy)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (k, strategy)
+
+
 def test_strategy_cost_validates_shapes():
     g = make_chsh_game()
     with pytest.raises(ValueError):

@@ -194,17 +194,36 @@ def test_quantum_rejects_non_finite_and_ragged_strategy_files(capsys, tmp_path, 
         assert err.startswith("error: ") and message in err
 
 
+def _huge_diagonal(doc):
+    doc["bob_povms"][0][0][0][0] = [1e308, 0.0]
+
+
+def _huge_diagonals_summing_to_inf(doc):
+    for k in range(2):
+        doc["bob_povms"][0][k][0][0] = [1e308, 0.0]
+
+
+def _huge_antihermitian_pair(doc):
+    doc["bob_povms"][0][0][0][1] = [1e308, 0.0]
+    doc["bob_povms"][0][0][1][0] = [-1e308, 0.0]
+
+
 def test_quantum_rejects_huge_povm_entries_with_one_error_line(tmp_path):
-    path = _corrupt_chsh_strategy(
-        tmp_path, lambda doc: doc["bob_povms"][0][0][0].__setitem__(0, [1e308, 0.0]))
     env = dict(os.environ, PYTHONPATH=str(Path(ngcost.__file__).resolve().parent.parent))
-    # a subprocess, so that numpy warnings reach stderr as they would for a user
-    result = subprocess.run(
-        [sys.executable, "-m", "ngcost", "quantum", "--builtin", "chsh", "--strategy", path],
-        capture_output=True, env=env, timeout=60)
-    assert (result.returncode, result.stdout) == (2, b"")
-    assert result.stderr.decode() == \
-        "error: bob measurement 0 does not sum to identity (deviation 1e+308)\n"
+    for corrupt, message in [
+        (_huge_diagonal, "bob measurement 0 does not sum to identity (deviation 1e+308)"),
+        (_huge_diagonals_summing_to_inf,
+         "bob measurement 0 does not sum to identity (deviation inf)"),
+        (_huge_antihermitian_pair, "bob element (0,0) is not Hermitian within 1e-10; "
+         "bob measurement 0 does not sum to identity (deviation 1e+308)"),
+    ]:
+        path = _corrupt_chsh_strategy(tmp_path, corrupt)
+        # a subprocess, so that numpy warnings reach stderr as they would for a user
+        result = subprocess.run(
+            [sys.executable, "-m", "ngcost", "quantum", "--builtin", "chsh", "--strategy", path],
+            capture_output=True, env=env, timeout=60)
+        assert (result.returncode, result.stdout) == (2, b""), corrupt.__name__
+        assert result.stderr.decode() == f"error: {message}\n", corrupt.__name__
 
 
 def test_seesaw_chsh(capsys):
@@ -280,6 +299,20 @@ def test_ns_infeasible_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "ns", "--game", str(path))
     assert code == 3
     assert "infeasible" in err
+
+
+def test_ns_ignores_forbidden_entries_of_a_zero_weight_input(capsys, tmp_path):
+    # input (1, 1) never occurs, so its all-forbidden block pins nothing
+    cost = [[[[0, 0], [0, 0]] for _ in range(2)] for _ in range(2)]
+    cost[0][0] = [[0, 1], [1, 0]]
+    cost[1][1] = [["inf", "inf"], ["inf", "inf"]]
+    doc = {"n_s": 2, "n_t": 2, "n_a": 2, "n_b": 2,
+           "input_dist": [[1 / 3, 1 / 3], [1 / 3, 0]], "cost": cost}
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "ns", "--game", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cost"] <= 0.0
 
 
 def test_hardy_theta(capsys):

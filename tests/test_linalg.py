@@ -48,6 +48,15 @@ def test_herm_eig_rejects_bad_input():
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))  # clearly non-Hermitian
     with pytest.raises(ValueError):
         herm_eig(np.zeros((0, 0)))
+    # non-finite entries are refused before any arithmetic can warn
+    with pytest.raises(ValueError, match="finite"):
+        herm_eig(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        herm_eig(np.diag([np.inf, 1.0]))
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        herm_eig(stack)
 
 
 def test_herm_eig_on_a_stack_matches_single_calls():

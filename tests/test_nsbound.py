@@ -200,10 +200,11 @@ def _scipy_ns_value(game):
                 rows.append(row)
                 rhs.append(0.0)
 
-    c = (game.input_dist[:, :, None, None]
-         * np.where(np.isfinite(game.cost), game.cost, 0.0)).ravel()
-    bounds = [(0.0, 0.0) if math.isinf(game.cost.flat[i]) else (0.0, None)
-              for i in range(n_vars)]
+    weight = game.input_dist[:, :, None, None]
+    c = (weight * np.where(np.isfinite(game.cost), game.cost, 0.0)).ravel()
+    # only the forbidden entries of inputs that occur are pinned to zero
+    pinned = (np.isinf(game.cost) & (weight > 0)).ravel()
+    bounds = [(0.0, 0.0) if pinned[i] else (0.0, None) for i in range(n_vars)]
     res = linprog(c, A_eq=np.array(rows), b_eq=np.array(rhs), bounds=bounds,
                   method="highs")
     assert res.status == 0
@@ -224,6 +225,17 @@ def test_ns_matches_scipy_on_assorted_games():
         dist = rng.uniform(0.05, 1.0, size=(2, 2))
         dist /= dist.sum()
         games.append(Game(2, 2, 2, 2, dist, cost))
+    # zero-weight inputs: an all-forbidden block, and forbidden entries that
+    # would contradict a marginal if they were pinned
+    idle = np.zeros((2, 2, 2, 2))
+    idle[0, 0] = [[0.0, 1.0], [1.0, 0.0]]
+    idle[1, 1] = INF
+    games.append(Game(2, 2, 2, 2, [[1 / 3, 1 / 3], [1 / 3, 0.0]], idle))
+    cost = rng.uniform(-1.0, 2.0, size=(3, 2, 2, 2))
+    cost[0, 0, 0, :] = INF
+    cost[0, 1, 1, :] = INF
+    cost[2, 1, 0, 1] = INF
+    games.append(Game(3, 2, 2, 2, [[0.2, 0.0], [0.3, 0.1], [0.4, 0.0]], cost))
     for game in games:
         ours, _ = ns_lower_bound(game)
         theirs = _scipy_ns_value(game)

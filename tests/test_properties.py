@@ -1,4 +1,5 @@
-"""Property tests: JSON round-trips and the classical value under capping.
+"""Property tests: JSON round-trips, the classical value under capping and
+the ns bound on games with zero-weight inputs.
 
 Shapes stay small so that each example runs in milliseconds; the
 hypothesis profile in conftest.py makes the examples the same on every run.
@@ -21,6 +22,7 @@ from ngcost import (
     classical_cost,
     game_from_dict,
     game_to_dict,
+    ns_lower_bound,
     strategy_from_dict,
     strategy_to_dict,
     validate_game,
@@ -105,6 +107,17 @@ def test_classical_value_is_cap_invariant_above_the_threshold(game, margin, low_
     assert classical_cost(cap_infinities(game, cap))[0] == value
     low_cap = max_finite * (1.0 + low_margin) + low_margin
     assert classical_cost(cap_infinities(game, low_cap))[0] <= value
+
+
+@given(games(max_size=2, weight=st.integers(0, 2)))
+def test_ns_bound_is_feasible_and_below_classical_with_zero_weight_inputs(game):
+    """A zero-weight input pins no entry of the LP, even where its cost is +inf: every
+    deterministic strategy of finite cost is then a feasible non-signalling behavior.
+    """
+    assume((game.input_dist == 0).any())
+    value = classical_cost(game)[0]
+    if math.isfinite(value):
+        assert ns_lower_bound(game)[0] <= value + 1e-9
 
 
 def test_a_cap_below_the_threshold_can_lower_the_classical_value():

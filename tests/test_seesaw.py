@@ -215,6 +215,18 @@ def test_update_rejects_infinite_costs_and_nonbinary_outcomes():
         update_bob(wide_b, state, povms)
 
 
+def test_optimal_state_and_update_alice_reject_nan_costs():
+    cost = make_chsh_game().cost.copy()
+    cost[0, 1, 1, 0] = math.nan
+    game = Game(2, 2, 2, 2, np.full((2, 2), 0.25), cost)
+    alice, bob = chsh_measurements()
+    state = np.full(4, 0.5, dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        optimal_state(game, alice, bob)
+    with pytest.raises(ValueError, match="finite"):
+        update_alice(game, state, bob)
+
+
 def _random_batch(rng, size, n, dim):
     return np.array([[random_projective(rng, dim) for _ in range(n)] for _ in range(size)])
 
