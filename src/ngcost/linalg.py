@@ -24,7 +24,7 @@ def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(H).all():
         raise ValueError("herm_eig needs finite entries")
     H_dag = H.conj().swapaxes(-1, -2)
-    if np.abs(H - H_dag).max() > HERMITIAN_TOL:
+    if np.max(np.abs(H - H_dag)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
     return np.linalg.eigh((H + H_dag) / 2.0)
 
