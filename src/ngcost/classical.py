@@ -39,19 +39,19 @@ def strategy_cost(game: Game, strategy: DeterministicStrategy) -> float:
     """Average cost of a deterministic strategy; may be +inf.
 
     Inputs with zero weight contribute nothing even when they hit an
-    infinite cost entry.
+    infinite cost entry.  Answers must be integers (numpy integers too,
+    bool not) inside the answer alphabet; anything else raises ValueError.
     """
     alpha, beta = strategy.alpha, strategy.beta
-    if len(alpha) != game.n_s:
-        raise ValueError(f"alpha has {len(alpha)} entries, expected {game.n_s}")
-    if len(beta) != game.n_t:
-        raise ValueError(f"beta has {len(beta)} entries, expected {game.n_t}")
-    for s, a in enumerate(alpha):
-        if not 0 <= a < game.n_a:
-            raise ValueError(f"alpha[{s}]={a} outside answer alphabet of size {game.n_a}")
-    for t, b in enumerate(beta):
-        if not 0 <= b < game.n_b:
-            raise ValueError(f"beta[{t}]={b} outside answer alphabet of size {game.n_b}")
+    for name, answers, n_inputs, n_answers in (("alpha", alpha, game.n_s, game.n_a),
+                                               ("beta", beta, game.n_t, game.n_b)):
+        if len(answers) != n_inputs:
+            raise ValueError(f"{name} has {len(answers)} entries, expected {n_inputs}")
+        for i, x in enumerate(answers):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"{name}[{i}]={x!r} is not an integer answer")
+            if not 0 <= x < n_answers:
+                raise ValueError(f"{name}[{i}]={x} outside answer alphabet of size {n_answers}")
 
     total = 0.0
     for s in range(game.n_s):

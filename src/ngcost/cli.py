@@ -187,8 +187,6 @@ def _seesaw_config(args) -> SeesawConfig:
 
 def _cmd_seesaw(args) -> int:
     game = _apply_cap(_resolve_game(args), args.cap)
-    if game.has_infinite_costs():
-        raise ValueError("game has infinite costs; pass --cap to run the see-saw")
     report = seesaw_upper_bound(game, _seesaw_config(args))
     finals = [trace[-1] for trace in report.traces]
     iters = [len(trace) - 1 for trace in report.traces]
@@ -246,26 +244,28 @@ def _grid(bounds: list[float], name: str, low: float, high: float) -> np.ndarray
     return np.linspace(start, stop, int(steps))
 
 
-def _solver_row(game: Game, solvers: set[str], config: SeesawConfig) -> dict[str, float]:
-    row: dict[str, float] = {}
-    if "classical" in solvers:
-        row["classical"] = classical_cost(game)[0]
-    if "seesaw" in solvers:
-        row["seesaw"] = seesaw_upper_bound(game, config).best_cost
-    if "ns" in solvers:
-        row["ns"] = ns_lower_bound(game)[0]
-    return row
+def _write_grid(path: str | None, header: str, keyed_games, solvers: set[str],
+                config: SeesawConfig) -> int:
+    """Run the solvers on every (key, game) and write one CSV row per game.
 
-
-def _csv_cells(prefix: list[float], row: dict[str, float]) -> str:
-    cells = [_fmt(v) for v in prefix]
-    for key in ("classical", "seesaw", "ns"):
-        cells.append(_fmt(row[key]) if key in row else "")
-    if "classical" in row and "seesaw" in row:
-        cells.append(_fmt(row["classical"] - row["seesaw"]))
-    else:
-        cells.append("")
-    return ",".join(cells)
+    Callers build every game first, so a bad cap fails before any solver runs.
+    """
+    lines = [header]
+    for key, game in keyed_games:
+        row: dict[str, float] = {}
+        if "classical" in solvers:
+            row["classical"] = classical_cost(game)[0]
+        if "seesaw" in solvers:
+            row["seesaw"] = seesaw_upper_bound(game, config).best_cost
+        if "ns" in solvers:
+            row["ns"] = ns_lower_bound(game)[0]
+        cells = [_fmt(v) for v in key]
+        cells += [_fmt(row[k]) if k in row else "" for k in ("classical", "seesaw", "ns")]
+        both = "classical" in row and "seesaw" in row
+        cells.append(_fmt(row["classical"] - row["seesaw"]) if both else "")
+        lines.append(",".join(cells))
+    _write_text(path, "\n".join(lines) + "\n")
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -276,34 +276,20 @@ def _cmd_sweep(args) -> int:
     if unknown or not solvers:
         raise ValueError(f"--solvers must name classical, seesaw and/or ns, got {args.solvers!r}")
     config = _seesaw_config(args)
-
     points = [(float(phi), float(w)) for phi in phis for w in ws]
-    games = [_apply_cap(make_family_game(FamilyParams(phi, w)), args.cap)
-             for phi, w in points]
-    if "seesaw" in solvers and any(g.has_infinite_costs() for g in games):
-        raise ValueError("grid contains infinite costs (w = 0); pass --cap to run the see-saw")
-
-    lines = [_csv_cells([phi, w], _solver_row(game, solvers, config))
-             for (phi, w), game in zip(points, games)]
-    _write_text(args.out, "\n".join([SWEEP_HEADER] + lines) + "\n")
-    return 0
+    games = [(point, _apply_cap(make_family_game(FamilyParams(*point)), args.cap))
+             for point in points]
+    return _write_grid(args.out, SWEEP_HEADER, games, solvers, config)
 
 
 def _cmd_hardy_cap_sweep(args) -> int:
     base = make_hardy_game(args.T)
     if not args.caps:
         raise ValueError("--caps needs at least one value")
-    bad = [cap for cap in args.caps if cap <= args.T]
-    if bad:
-        raise ValueError(f"every cap must exceed T={args.T}, got {bad}")
     config = _seesaw_config(args)
-    lines = []
-    for cap in args.caps:
-        capped = cap_infinities(base, cap)
-        row = _solver_row(capped, {"classical", "seesaw", "ns"}, config)
-        lines.append(_csv_cells([args.T, cap], row))
-    _write_text(args.out, "\n".join([CAP_SWEEP_HEADER] + lines) + "\n")
-    return 0
+    # cap_infinities refuses a cap at or below the largest finite cost, here T
+    games = [((args.T, cap), cap_infinities(base, cap)) for cap in args.caps]
+    return _write_grid(args.out, CAP_SWEEP_HEADER, games, {"classical", "seesaw", "ns"}, config)
 
 
 def _add_seesaw_flags(parser: argparse.ArgumentParser) -> None:

@@ -59,8 +59,9 @@ class SeesawReport:
 
 
 def _require_finite(game: Game) -> None:
-    if game.has_infinite_costs():
-        raise ValueError("game has infinite costs; cap them before running the see-saw")
+    # +inf entries of zero-weight inputs are 0 in the table and need no cap
+    if np.isinf(game._weights).any():
+        raise ValueError("game has infinite costs; cap them first (cap_infinities, or --cap)")
 
 
 def _povm_stack(povms, n_inputs: int, n_outcomes: int, who: str) -> np.ndarray:
@@ -192,7 +193,8 @@ def seesaw_upper_bound(game: Game, config: SeesawConfig = SeesawConfig()) -> See
     trace, when an iteration improves its cost by less than config.tol
     or after config.max_iters rounds.  Ties between restarts keep the
     earliest one.  Raises ValueError when validate_game reports a
-    problem or the game has infinite costs.
+    problem or an input of positive weight has an infinite cost entry;
+    +inf entries of zero-weight inputs cost nothing and need no cap.
     """
     require_valid_game(game)
     _require_finite(game)

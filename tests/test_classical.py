@@ -80,6 +80,12 @@ def test_strategy_cost_validates_shapes():
         strategy_cost(g, DeterministicStrategy((0, 2), (0, 0)))
     with pytest.raises(ValueError):
         strategy_cost(g, DeterministicStrategy((0, 0), (-1, 0)))
+    with pytest.raises(ValueError, match="integer"):
+        strategy_cost(g, DeterministicStrategy((0.5, 0), (0, 0)))
+    with pytest.raises(ValueError, match="integer"):
+        strategy_cost(g, DeterministicStrategy((True, 0), (0, 0)))
+    numpy_ints = DeterministicStrategy((np.int64(1), 0), (0, np.int8(1)))
+    assert strategy_cost(g, numpy_ints) == strategy_cost(g, DeterministicStrategy((1, 0), (0, 1)))
 
 
 def test_classical_chsh_exact():
@@ -175,6 +181,14 @@ def test_classical_refuses_huge_enumeration():
     # both parties have 10**9 strategies
     g = Game(9, 9, 10, 10, np.full((9, 9), 1.0 / 81.0), np.zeros((9, 9, 10, 10)))
     with pytest.raises(ValueError, match="enumeration limit"):
+        classical_cost(g)
+
+
+def test_classical_refuses_too_many_rounded_ties():
+    # every one of the 2**30 pairs costs 1, summed from non-dyadic weights 1/225,
+    # so each lies within rounding of the minimum and would need re-scoring
+    g = Game(15, 15, 2, 2, np.full((15, 15), 1.0 / 225.0), np.ones((15, 15, 2, 2)))
+    with pytest.raises(ValueError, match="within rounding of the minimum"):
         classical_cost(g)
 
 

@@ -65,6 +65,14 @@ def test_classical_family_missing_params(capsys):
     assert "--w" in err
 
 
+def test_classical_text_prints_inf_for_an_all_forbidden_game(capsys, tmp_path):
+    path = tmp_path / "forbidden.json"
+    save_game(Game(2, 2, 2, 2, np.full((2, 2), 0.25), np.full((2, 2, 2, 2), math.inf)), str(path))
+    code, out, _ = run_cli(capsys, "classical", "--game", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "classical cost: inf"
+
+
 def test_classical_game_file(capsys, tmp_path):
     path = tmp_path / "chsh.json"
     save_game(make_chsh_game(), str(path))
@@ -240,6 +248,22 @@ def test_seesaw_requires_cap_for_infinite_games(capsys):
     code, _, err = run_cli(capsys, "seesaw", "--builtin", "hardy")
     assert code == 2
     assert "--cap" in err
+
+
+def test_seesaw_runs_when_only_zero_weight_inputs_are_forbidden(capsys, tmp_path):
+    # input s = 1 never occurs, so its +inf entries cost nothing and need no cap
+    cost = make_chsh_game().cost.copy()
+    cost[1, 0, 1, 0] = cost[1, 1, 0, 0] = math.inf
+    zeroed = np.where(np.isinf(cost), 0.0, cost)
+    outputs = []
+    for name, table in (("idle.json", cost), ("zeroed.json", zeroed)):
+        path = tmp_path / name
+        save_game(Game(2, 2, 2, 2, [[0.5, 0.5], [0.0, 0.0]], table), str(path))
+        code, out, err = run_cli(capsys, "seesaw", "--game", str(path),
+                                 "--restarts", "4", "--seed", "1", "--json")
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_seesaw_cap_auto(capsys):
@@ -437,6 +461,13 @@ def test_hardy_cap_sweep_rejects_small_caps(capsys):
     code, _, err = run_cli(capsys, "hardy-cap-sweep", "--T", "1", "--caps", "0.9,10")
     assert code == 2
     assert "exceed" in err
+
+
+@pytest.mark.parametrize("caps", ["2,x", ","])
+def test_hardy_cap_sweep_rejects_bad_cap_lists(capsys, caps):
+    code, out, err = run_cli(capsys, "hardy-cap-sweep", "--caps", caps)
+    assert (code, out) == (2, "")
+    assert "caps" in err
 
 
 def test_console_script_is_installed(tmp_path):

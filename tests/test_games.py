@@ -264,6 +264,11 @@ def test_game_from_dict_rejects_unknown_and_missing_fields():
         game_from_dict(doc2)
 
 
+def test_game_from_dict_rejects_a_non_object_document():
+    with pytest.raises(ValueError, match="game document must be a JSON object"):
+        game_from_dict([1])
+
+
 def test_game_from_dict_rejects_shape_mismatch():
     doc = game_to_dict(make_chsh_game())
     doc["cost"][0][0][0] = [0.0, 1.0, 2.0]

@@ -459,6 +459,12 @@ def test_validate_strategy_reports_wrong_element_size():
     assert validate_strategy(bad) == ["bob elements have shape (3, 3), expected (2, 2)"]
 
 
+def test_validate_strategy_reports_wrong_state_shape():
+    qs = chsh_optimal_strategy()
+    short = QuantumStrategy(2, 2, qs.state[:3], qs.alice_povms, qs.bob_povms)
+    assert validate_strategy(short) == ["state has shape (3,), expected (4,)"]
+
+
 def test_validate_strategy_rejects_non_finite_entries():
     qs = chsh_optimal_strategy()
     for bad_value in (math.nan, math.inf):

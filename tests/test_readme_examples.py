@@ -1,10 +1,13 @@
-"""The README's documented `sweep`, `hardy-cap-sweep` and `hardy-theta` output, re-run.
+"""The README's documented command output, re-run.
 
 Each fenced README line that starts with `$ ngcost sweep`,
 `$ ngcost hardy-cap-sweep` or `$ ngcost hardy-theta` is run through
 `cli.main`; the lines after it, up to the next `$` line or the end of the
 block, are the documented output: CSV for the sweeps, `label: value` lines
-for `hardy-theta`. Numeric cells and values must agree within 1e-12: a
+for `hardy-theta`. The text (not `--json`) examples of `classical`,
+`quantum`, `seesaw` and `ns` are run the same way; a `...` line ends the
+documented part, which must then be a prefix of the printed output.
+Numeric cells and values must agree within 1e-12: a
 change that moves a documented value fails here instead of leaving the
 README stale, while a change of a few ulps, which reordering a
 floating-point sum can cause, passes.
@@ -12,6 +15,7 @@ floating-point sum can cause, passes.
 
 from __future__ import annotations
 
+import re
 import shlex
 from pathlib import Path
 
@@ -22,6 +26,7 @@ from ngcost.cli import main
 README = Path(__file__).resolve().parents[1] / "README.md"
 PREFIXES = ("$ ngcost sweep ", "$ ngcost hardy-cap-sweep ")
 LABELLED_PREFIXES = ("$ ngcost hardy-theta",)
+SOLVER_PREFIXES = ("$ ngcost classical ", "$ ngcost quantum ", "$ ngcost seesaw ", "$ ngcost ns ")
 CELL_TOL = 1e-12
 
 
@@ -45,6 +50,10 @@ def _examples(prefixes: tuple[str, ...]) -> list[tuple[str, list[str]]]:
 
 EXAMPLES = _examples(PREFIXES)
 LABELLED_EXAMPLES = _examples(LABELLED_PREFIXES)
+SOLVER_EXAMPLES = [(command, expected) for command, expected in _examples(SOLVER_PREFIXES)
+                   if "--json" not in shlex.split(command)]
+# a decimal number; the text between numbers must match exactly
+NUMBER = re.compile(r"(-?\d+\.\d*(?:e[-+]?\d+)?)")
 
 
 def test_readme_documents_both_csv_commands():
@@ -56,6 +65,12 @@ def test_readme_documents_both_csv_commands():
 def test_readme_documents_hardy_theta():
     assert [command for command, _ in LABELLED_EXAMPLES] == ["ngcost hardy-theta"]
     assert all(len(expected) >= 2 for _, expected in LABELLED_EXAMPLES)
+
+
+def test_readme_documents_every_solver_in_text():
+    commands = [shlex.split(command)[1] for command, _ in SOLVER_EXAMPLES]
+    assert commands == ["classical", "quantum", "seesaw", "ns"]
+    assert all(len(expected) >= 2 for _, expected in SOLVER_EXAMPLES)
 
 
 def _cells_agree(printed: str, documented: str) -> bool:
@@ -92,3 +107,22 @@ def test_readme_labelled_example_matches_output(capsys, command, expected):
         want_label, _, want_value = want.partition(": ")
         assert got_label == want_label, (got, want)
         assert _cells_agree(got_value, want_value), f"{command}: printed {got!r}, README has {want!r}"
+
+
+def _lines_agree(printed: str, documented: str) -> bool:
+    got, want = NUMBER.split(printed), NUMBER.split(documented)
+    if len(got) != len(want):
+        return False
+    return all(g == w if i % 2 == 0 else _cells_agree(g, w)
+               for i, (g, w) in enumerate(zip(got, want)))
+
+
+@pytest.mark.parametrize("command, expected", SOLVER_EXAMPLES, ids=[c for c, _ in SOLVER_EXAMPLES])
+def test_readme_solver_example_matches_output(capsys, command, expected):
+    printed = _run(capsys, command)
+    if expected[-1] == "...":
+        expected = expected[:-1]
+        printed = printed[:len(expected)]
+    assert len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        assert _lines_agree(got, want), f"{command}: printed {got!r}, README has {want!r}"

@@ -215,6 +215,43 @@ def test_update_rejects_infinite_costs_and_nonbinary_outcomes():
         update_bob(wide_b, state, povms)
 
 
+def test_update_alice_rejects_a_state_not_divisible_by_d_b():
+    alice, bob = chsh_measurements()
+    with pytest.raises(ValueError, match="not divisible by d_b=2"):
+        update_alice(make_chsh_game(), np.full(3, 1.0, dtype=complex), bob)
+
+
+def idle_input_games():
+    """A game whose only +inf entries sit on inputs of weight zero, and the
+    same game with those entries set to 0."""
+    rng = np.random.default_rng(61)
+    cost = rng.uniform(0.0, 1.0, size=(2, 2, 2, 2))
+    cost[1, 0, 1, 0] = cost[1, 1, 0, 0] = cost[1, 1, 1, 1] = math.inf
+    dist = [[0.5, 0.5], [0.0, 0.0]]
+    zeroed = np.where(np.isinf(cost), 0.0, cost)
+    return Game(2, 2, 2, 2, dist, cost), Game(2, 2, 2, 2, dist, zeroed)
+
+
+def test_see_saw_steps_accept_infinite_entries_of_zero_weight_inputs():
+    idle, zeroed = idle_input_games()
+    alice, bob = chsh_measurements()
+    state = np.full(4, 0.5, dtype=complex)
+    assert np.array_equal(game_operator(idle, alice, bob), game_operator(zeroed, alice, bob))
+    assert np.array_equal(update_alice(idle, state, bob), update_alice(zeroed, state, bob))
+    assert np.array_equal(update_bob(idle, state, alice), update_bob(zeroed, state, alice))
+
+
+def test_seesaw_on_zero_weight_infinities_equals_the_zeroed_game_bitwise():
+    idle, zeroed = idle_input_games()
+    config = SeesawConfig(seed=2, restarts=5)
+    got, want = seesaw_upper_bound(idle, config), seesaw_upper_bound(zeroed, config)
+    assert got.best_cost == want.best_cost
+    assert got.best_restart == want.best_restart
+    assert got.traces == want.traces
+    for name in ("state", "alice_povms", "bob_povms"):
+        assert np.array_equal(getattr(got.best_strategy, name), getattr(want.best_strategy, name))
+
+
 def test_optimal_state_and_update_alice_reject_nan_costs():
     cost = make_chsh_game().cost.copy()
     cost[0, 1, 1, 0] = math.nan
