@@ -12,7 +12,6 @@ witness still equal those of a scan over every pair of strategies.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,7 +69,45 @@ def _first_minimum(values: np.ndarray, pairs: np.ndarray) -> tuple[float, tuple[
     """The smallest value and the lexicographically first pair attaining it."""
     low = float(values.min())
     hits = pairs[values == low]
-    return low, tuple(hits[np.lexsort(hits.T[::-1])[0]].tolist())
+    for column in range(hits.shape[1]):
+        hits = hits[hits[:, column] == hits[:, column].min()]
+    return low, tuple(hits[0].tolist())
+
+
+def _near_pairs(rows: np.ndarray, near: np.ndarray, chunk: int):
+    """Each row k of rows joined with every response that answers each input y
+    with some v where near[k, y, v] holds.
+
+    Yields (rows, responses) arrays, one pair per row, at most chunk pairs
+    at a time, so memory stays bounded however many pairs are near.
+    """
+    counts = near.sum(axis=2)
+    sizes = counts.prod(axis=1)
+    # answers[k, y, j]: the j-th near answer of row k at input y, ascending
+    answers = np.argsort(~near, axis=2, kind="stable")
+    ends = np.cumsum(sizes)
+    for first in range(0, int(ends[-1]), chunk):
+        index = np.arange(first, min(first + chunk, int(ends[-1])))
+        k = np.searchsorted(ends, index, side="right")
+        local = index - (ends[k] - sizes[k])
+        responses = np.empty((index.size, near.shape[1]), dtype=np.int64)
+        for y in range(near.shape[1] - 1, -1, -1):
+            responses[:, y] = answers[k, y, local % counts[k, y]]
+            local //= counts[k, y]
+        yield rows[k], responses
+
+
+def _pair_costs(weighted: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """strategy_cost of every (alpha + beta) row, its terms added in the same (s, t) order."""
+    n_s, n_t, _, n_b = weighted.shape
+    cells = weighted.reshape(n_s, n_t, -1)
+    alpha = np.ascontiguousarray(pairs[:, :n_s].T) * n_b
+    beta = np.ascontiguousarray(pairs[:, n_s:].T)
+    total = np.zeros(len(pairs))
+    for s in range(n_s):
+        for t in range(n_t):
+            total += cells[s, t].take(alpha[s] + beta[t])
+    return total
 
 
 def _best_pair(game: Game, enumerate_alice: bool) -> tuple[int, ...] | None:
@@ -81,9 +118,9 @@ def _best_pair(game: Game, enumerate_alice: bool) -> tuple[int, ...] | None:
     by input, the answer of least summed cost.
     Summed in this order a pair's cost can differ by a few ulps from
     strategy_cost, which adds in (s, t) order, so the pairs within a
-    rounding bound of the least are re-scored with strategy_cost.  That
-    keeps the witness exactly that of a scan over all pairs.  Returns
-    None when every pair costs +inf.
+    rounding bound of the least are re-scored in strategy_cost's order,
+    as arrays.  That keeps the witness exactly that of a scan over all
+    pairs.  Returns None when every pair costs +inf.
     """
     weighted = game._weights
     n_s, n_t = weighted.shape[:2]
@@ -99,6 +136,7 @@ def _best_pair(game: Game, enumerate_alice: bool) -> tuple[int, ...] | None:
     magnitude = np.where(np.isinf(weighted), 0.0, np.abs(weighted)).max(axis=(2, 3)).sum()
     tol = n_s * n_t * 2.0**-49 * float(magnitude)
     block = max(1, _BLOCK_ENTRIES // (n_y * n_v))
+    pair_chunk = max(1, _BLOCK_ENTRIES // (n_s + n_t))
     n_rows = n_u ** n_x
     low, best, near_pairs = math.inf, None, 0.0
     for start in range(0, n_rows, block):
@@ -119,6 +157,8 @@ def _best_pair(game: Game, enumerate_alice: bool) -> tuple[int, ...] | None:
         if low == math.inf:
             continue
         window = np.flatnonzero(costs <= low + tol)
+        if window.size == 0:
+            continue
         near = partial[window] <= least[window, :, None] + tol
         near_pairs += near.sum(axis=2).prod(axis=1, dtype=float).sum()
         if near_pairs > ENUMERATION_LIMIT:
@@ -126,12 +166,10 @@ def _best_pair(game: Game, enumerate_alice: bool) -> tuple[int, ...] | None:
                 f"{near_pairs:.0f} strategy pairs within rounding of the minimum exceed "
                 f"the enumeration limit {ENUMERATION_LIMIT}"
             )
-        for row, answers in zip(rows[window].tolist(), near.tolist()):
-            choices = ([v for v, ok in enumerate(at_y) if ok] for at_y in answers)
-            for responses in itertools.product(*choices):
-                pair = (*row, *responses) if enumerate_alice else (*responses, *row)
-                cost = strategy_cost(game, DeterministicStrategy(pair[:n_s], pair[n_s:]))
-                best = (cost, pair) if best is None else min(best, (cost, pair))
+        for own, responses in _near_pairs(rows[window], near, pair_chunk):
+            pairs = np.hstack((own, responses) if enumerate_alice else (responses, own))
+            candidate = _first_minimum(_pair_costs(weighted, pairs), pairs)
+            best = candidate if best is None else min(best, candidate)
     return None if best is None or best[0] == math.inf else best[1]
 
 

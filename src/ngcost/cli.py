@@ -38,7 +38,7 @@ from .quantum import (
     optimize_hardy_theta,
     save_strategy,
 )
-from .seesaw import SeesawConfig, seesaw_upper_bound
+from .seesaw import SeesawConfig, _seesaw_stack, seesaw_upper_bound
 
 SWEEP_HEADER = "phi,w,classical,seesaw,ns,quantum_classical_gap"
 CAP_SWEEP_HEADER = "T,cap,classical,seesaw,ns,quantum_classical_gap"
@@ -248,15 +248,18 @@ def _write_grid(path: str | None, header: str, keyed_games, solvers: set[str],
                 config: SeesawConfig) -> int:
     """Run the solvers on every (key, game) and write one CSV row per game.
 
-    Callers build every game first, so a bad cap fails before any solver runs.
+    Callers build every game first, so a bad cap fails before any solver
+    runs.  The see-saws of all games run first, as one restart stack.
     """
+    reports = (_seesaw_stack([game for _, game in keyed_games], config)
+               if "seesaw" in solvers else None)
     lines = [header]
-    for key, game in keyed_games:
+    for i, (key, game) in enumerate(keyed_games):
         row: dict[str, float] = {}
         if "classical" in solvers:
             row["classical"] = classical_cost(game)[0]
-        if "seesaw" in solvers:
-            row["seesaw"] = seesaw_upper_bound(game, config).best_cost
+        if reports is not None:
+            row["seesaw"] = reports[i].best_cost
         if "ns" in solvers:
             row["ns"] = ns_lower_bound(game)[0]
         cells = [_fmt(v) for v in key]

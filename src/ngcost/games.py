@@ -55,9 +55,6 @@ class Game:
         weights.flags.writeable = False
         return weights
 
-    def has_infinite_costs(self) -> bool:
-        return bool(np.isinf(self.cost).any())
-
     def max_finite_cost(self) -> float:
         finite = self.cost[np.isfinite(self.cost)]
         return float(finite.max()) if finite.size else 0.0

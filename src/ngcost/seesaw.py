@@ -9,6 +9,7 @@ and the final value is a valid quantum upper bound.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,10 +59,29 @@ class SeesawReport:
         return len(self.traces)
 
 
-def _require_finite(game: Game) -> None:
+# The most (game, restart) entries one stack holds; a larger grid runs in
+# chunks of whole games, so memory stays bounded whatever its size.
+_STACK_ENTRIES = 128
+
+
+def _weights_of(game: Game | Sequence[Game]) -> np.ndarray:
+    """game._weights, or the tables of a sequence of games on a leading axis.
+
+    Raises ValueError when the games differ in shape or an input of
+    positive weight has an infinite cost entry.
+    """
+    if isinstance(game, Game):
+        weights = game._weights
+    else:
+        tables = [g._weights for g in game]
+        shapes = sorted({t.shape for t in tables})
+        if len(shapes) != 1:
+            raise ValueError(f"games must share one shape, got {shapes or 'no game'}")
+        weights = np.array(tables)
     # +inf entries of zero-weight inputs are 0 in the table and need no cap
-    if np.isinf(game._weights).any():
+    if np.isinf(weights).any():
         raise ValueError("game has infinite costs; cap them first (cap_infinities, or --cap)")
+    return weights
 
 
 def _povm_stack(povms, n_inputs: int, n_outcomes: int, who: str) -> np.ndarray:
@@ -73,30 +93,41 @@ def _povm_stack(povms, n_inputs: int, n_outcomes: int, who: str) -> np.ndarray:
     return P
 
 
-def game_operator(game: Game, alice_povms, bob_povms) -> np.ndarray:
+def _require_batch(weights: np.ndarray, batch: tuple[int, ...]) -> None:
+    # a sequence of games gives one game per entry of a single batch axis
+    if weights.ndim > 4 and batch != weights.shape[:-4]:
+        raise ValueError(f"batch axes differ: {weights.shape[0]} games, POVMs {batch}")
+
+
+def game_operator(game: Game | Sequence[Game], alice_povms, bob_povms) -> np.ndarray:
     """Operator whose expectation on |psi> is the expected cost.
 
     G = sum_{s,t,a,b} pi(s,t) C(a,b|s,t) A^s_a x B^t_b, returned as a
     dense (dA*dB) x (dA*dB) Hermitian matrix.  POVMs of shape
     (..., n, outcomes, d, d) with equal leading batch axes give a stack
-    of operators of shape (..., dA*dB, dA*dB).
+    of operators of shape (..., dA*dB, dA*dB).  game is one Game, shared
+    by every batch entry, or a sequence of same-shape games, one per
+    entry of a single batch axis.
     """
-    _require_finite(game)
-    A = _povm_stack(alice_povms, game.n_s, game.n_a, "alice")
-    B = _povm_stack(bob_povms, game.n_t, game.n_b, "bob")
+    weights = _weights_of(game)
+    n_s, n_t, n_a, n_b = weights.shape[-4:]
+    A = _povm_stack(alice_povms, n_s, n_a, "alice")
+    B = _povm_stack(bob_povms, n_t, n_b, "bob")
     if A.shape[:-4] != B.shape[:-4]:
         raise ValueError(f"batch axes differ: alice {A.shape[:-4]}, bob {B.shape[:-4]}")
+    _require_batch(weights, A.shape[:-4])
     d_a, d_b = A.shape[-1], B.shape[-1]
-    bob_side = np.einsum("stab,...tbkl->...sakl", game._weights, B)
+    bob_side = np.einsum("...stab,...tbkl->...sakl", weights, B)
     G = np.einsum("...saij,...sakl->...ikjl", A, bob_side)
     return G.reshape(A.shape[:-4] + (d_a * d_b, d_a * d_b))
 
 
-def optimal_state(game: Game, alice_povms, bob_povms) -> tuple[np.ndarray, float | np.ndarray]:
+def optimal_state(game: Game | Sequence[Game], alice_povms,
+                  bob_povms) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimum-eigenvalue state of the game operator and its cost.
 
     With batch axes the states have shape (..., dA*dB) and the costs
-    come back as an array of shape (...).
+    come back as an array of shape (...).  game is as in game_operator.
     """
     w, v = herm_eig(game_operator(game, alice_povms, bob_povms))
     cost = w[..., 0]
@@ -104,19 +135,22 @@ def optimal_state(game: Game, alice_povms, bob_povms) -> tuple[np.ndarray, float
 
 
 def _best_response(weights: np.ndarray, psi: np.ndarray, other: np.ndarray) -> np.ndarray:
-    # weights[s, t, a, b] puts the responding party first; psi[..., i, m] is
-    # the state with the responder's index i first; other[..., t, b, k, m]
+    # weights[..., s, t, a, b] puts the responding party first; psi[..., i, m]
+    # is the state with the responder's index i first; other[..., t, b, k, m]
     # holds the fixed party's POVMs.  The reduced operator for outcome a is
     # R[s, a] = sum_{t,b} weights[s, t, a, b] psi other[t, b]^T psi^dag.
-    gap = weights[:, :, 0] - weights[:, :, 1]
-    other_gap = np.einsum("stb,...tbkm->...smk", gap, other)
+    gap = weights[..., 0, :] - weights[..., 1, :]
+    other_gap = np.einsum("...stb,...tbkm->...smk", gap, other)
     psi_dag = psi.conj().swapaxes(-1, -2)[..., None, :, :]
     delta = psi[..., None, :, :] @ other_gap @ psi_dag
     # outcome 0 collects the strictly negative eigenspace; zero modes go to 1
     w, v = herm_eig(delta)
     neg = v * (w < -NEGATIVE_EIG_TOL)[..., None, :]
     p0 = neg @ v.conj().swapaxes(-1, -2)
-    return np.stack([p0, np.eye(psi.shape[-2], dtype=complex) - p0], axis=-3)
+    povms = np.empty(p0.shape[:-2] + (2,) + p0.shape[-2:], dtype=complex)
+    povms[..., 0, :, :] = p0
+    np.subtract(np.eye(psi.shape[-2], dtype=complex), p0, out=povms[..., 1, :, :])
+    return povms
 
 
 def _checked_state(state, other: np.ndarray, who: str) -> np.ndarray:
@@ -129,36 +163,41 @@ def _checked_state(state, other: np.ndarray, who: str) -> np.ndarray:
     return psi
 
 
-def update_alice(game: Game, state: np.ndarray, bob_povms) -> np.ndarray:
+def update_alice(game: Game | Sequence[Game], state: np.ndarray, bob_povms) -> np.ndarray:
     """Exact best binary projective response for Alice, Bob and state fixed.
 
     Returns an array of shape (..., n_s, 2, dA, dA) holding the projectors
     for outcomes 0 and 1 of every input; a state of shape (..., dA*dB) and
     Bob POVMs of shape (..., n_t, 2, dB, dB) update every batch entry.
+    game is as in game_operator.
     """
-    _require_finite(game)
-    if game.n_a != 2:
-        raise ValueError(f"measurement update needs n_a = 2, got {game.n_a}")
-    B = _povm_stack(bob_povms, game.n_t, game.n_b, "bob")
+    weights = _weights_of(game)
+    n_s, n_t, n_a, n_b = weights.shape[-4:]
+    if n_a != 2:
+        raise ValueError(f"measurement update needs n_a = 2, got {n_a}")
+    B = _povm_stack(bob_povms, n_t, n_b, "bob")
     psi = _checked_state(state, B, "d_b")
+    _require_batch(weights, psi.shape[:-1])
     psi = psi.reshape(psi.shape[:-1] + (-1, B.shape[-1]))
-    return _best_response(game._weights, psi, B)
+    return _best_response(weights, psi, B)
 
 
-def update_bob(game: Game, state: np.ndarray, alice_povms) -> np.ndarray:
+def update_bob(game: Game | Sequence[Game], state: np.ndarray, alice_povms) -> np.ndarray:
     """Exact best binary projective response for Bob, Alice and state fixed.
 
     Returns an array of shape (..., n_t, 2, dB, dB), with the batch
     conventions of update_alice.  It is Alice's update on the game with
     the parties swapped.
     """
-    _require_finite(game)
-    if game.n_b != 2:
-        raise ValueError(f"measurement update needs n_b = 2, got {game.n_b}")
-    A = _povm_stack(alice_povms, game.n_s, game.n_a, "alice")
+    weights = _weights_of(game)
+    n_s, n_t, n_a, n_b = weights.shape[-4:]
+    if n_b != 2:
+        raise ValueError(f"measurement update needs n_b = 2, got {n_b}")
+    A = _povm_stack(alice_povms, n_s, n_a, "alice")
     psi = _checked_state(state, A, "d_a")
+    _require_batch(weights, psi.shape[:-1])
     psi = psi.reshape(psi.shape[:-1] + (A.shape[-1], -1)).swapaxes(-1, -2)
-    return _best_response(game._weights.transpose(1, 0, 3, 2), psi, A)
+    return _best_response(weights.swapaxes(-4, -3).swapaxes(-2, -1), psi, A)
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -175,12 +214,79 @@ def _random_binary_projective(rng: np.random.Generator, dim: int):
     return p0, np.eye(dim, dtype=complex) - p0
 
 
-def _random_start(config: SeesawConfig, game: Game, restart: int):
+def _random_start(config: SeesawConfig, n_s: int, n_t: int, restart: int):
     rng = np.random.default_rng([config.seed, restart])
     state = _random_state(rng, config.d_a * config.d_b)
-    alice = [_random_binary_projective(rng, config.d_a) for _ in range(game.n_s)]
-    bob = [_random_binary_projective(rng, config.d_b) for _ in range(game.n_t)]
+    alice = [_random_binary_projective(rng, config.d_a) for _ in range(n_s)]
+    bob = [_random_binary_projective(rng, config.d_b) for _ in range(n_t)]
     return state, alice, bob
+
+
+def _run_stack(games: list[Game], config: SeesawConfig, starts) -> list[SeesawReport]:
+    """Every (game, restart) entry of games advanced as one stack.
+
+    Entry g * restarts + r is restart r of games[g], started from
+    starts[r].  A stack of one game hands the steps that Game itself, so
+    seesaw_upper_bound does the numpy work of one shared cost table.
+    """
+    n_games, restarts = len(games), config.restarts
+    state, alice, bob = (np.concatenate([part] * n_games) for part in starts)
+    owner = np.repeat(np.arange(n_games), restarts)
+
+    def game_of(entries: np.ndarray):
+        return games[0] if n_games == 1 else [games[g] for g in owner[entries].tolist()]
+
+    active = np.arange(n_games * restarts)
+    operator = game_operator(game_of(active), alice, bob)
+    cost = np.einsum("ri,rij,rj->r", state.conj(), operator, state).real
+    traces = [[c] for c in cost.tolist()]
+    for _ in range(config.max_iters):
+        game, psi = game_of(active), state[active]
+        new_alice = update_alice(game, psi, bob[active])
+        new_bob = update_bob(game, psi, new_alice)
+        new_state, new_cost = optimal_state(game, new_alice, new_bob)
+        alice[active], bob[active], state[active] = new_alice, new_bob, new_state
+        for r, c in zip(active.tolist(), new_cost.tolist()):
+            traces[r].append(c)
+        improvement = cost[active] - new_cost
+        cost[active] = new_cost
+        active = active[improvement >= config.tol]
+        if active.size == 0:
+            break
+    reports = []
+    for first in range(0, n_games * restarts, restarts):
+        best = int(np.argmin(cost[first:first + restarts]))
+        e = first + best
+        best_strategy = QuantumStrategy(config.d_a, config.d_b, state[e], alice[e], bob[e])
+        reports.append(SeesawReport(float(cost[e]), best_strategy, best,
+                                    tuple(tuple(t) for t in traces[first:first + restarts])))
+    return reports
+
+
+def _seesaw_stack(games: Sequence[Game], config: SeesawConfig) -> list[SeesawReport]:
+    """seesaw_upper_bound of each of a sequence of same-shape games, in order.
+
+    Every game is validated before any iteration runs.  The random
+    starts depend only on config and the input counts, so they are
+    drawn once; then every (game, restart) pair advances as one entry of
+    a stack of whole games, as many as fit in _STACK_ENTRIES entries but
+    at least one.
+    Each entry keeps its own stopping rule, so every report equals that
+    of seesaw_upper_bound on its game alone.
+    """
+    games = list(games)
+    for game in games:
+        require_valid_game(game)
+    n_s, n_t, n_a, n_b = _weights_of(games).shape[-4:]
+    if n_a != 2 or n_b != 2:
+        raise ValueError(f"see-saw handles binary answers only, got n_a={n_a}, n_b={n_b}")
+    starts = [_random_start(config, n_s, n_t, r) for r in range(config.restarts)]
+    starts = [np.array(part, dtype=complex) for part in zip(*starts)]
+    per_stack = max(1, _STACK_ENTRIES // config.restarts)
+    reports = []
+    for first in range(0, len(games), per_stack):
+        reports += _run_stack(games[first:first + per_stack], config, starts)
+    return reports
 
 
 def seesaw_upper_bound(game: Game, config: SeesawConfig = SeesawConfig()) -> SeesawReport:
@@ -196,30 +302,4 @@ def seesaw_upper_bound(game: Game, config: SeesawConfig = SeesawConfig()) -> See
     problem or an input of positive weight has an infinite cost entry;
     +inf entries of zero-weight inputs cost nothing and need no cap.
     """
-    require_valid_game(game)
-    _require_finite(game)
-    if game.n_a != 2 or game.n_b != 2:
-        raise ValueError(
-            f"see-saw handles binary answers only, got n_a={game.n_a}, n_b={game.n_b}"
-        )
-    starts = [_random_start(config, game, r) for r in range(config.restarts)]
-    state, alice, bob = (np.array(part, dtype=complex) for part in zip(*starts))
-    operator = game_operator(game, alice, bob)
-    cost = np.einsum("ri,rij,rj->r", state.conj(), operator, state).real
-    traces = [[c] for c in cost.tolist()]
-    active = np.arange(config.restarts)
-    for _ in range(config.max_iters):
-        new_alice = update_alice(game, state[active], bob[active])
-        new_bob = update_bob(game, state[active], new_alice)
-        new_state, new_cost = optimal_state(game, new_alice, new_bob)
-        alice[active], bob[active], state[active] = new_alice, new_bob, new_state
-        for r, c in zip(active.tolist(), new_cost.tolist()):
-            traces[r].append(c)
-        improvement = cost[active] - new_cost
-        cost[active] = new_cost
-        active = active[improvement >= config.tol]
-        if active.size == 0:
-            break
-    best = int(np.argmin(cost))
-    best_strategy = QuantumStrategy(config.d_a, config.d_b, state[best], alice[best], bob[best])
-    return SeesawReport(float(cost[best]), best_strategy, best, tuple(tuple(t) for t in traces))
+    return _seesaw_stack([game], config)[0]

@@ -13,6 +13,7 @@ from ngcost import (
     make_hardy_game,
     strategy_cost,
 )
+from ngcost import classical
 
 INF = math.inf
 
@@ -305,3 +306,29 @@ def test_classical_equals_the_table_scan_on_larger_games(shape):
     cost[rng.random(shape) < 0.1] = INF
     game = Game(*shape, dist / dist.sum(), cost)
     assert classical_cost(game) == table_scan(game)
+
+
+def tied_games():
+    """Games where many pairs cost exactly the same: uniform weights, dyadic
+    (1/16, 1/8) and not (1/9, 1/6, 1/12), over all-ones or 0/1 cost tables."""
+    rng = np.random.default_rng(23)
+    games = []
+    shapes = [(4, 4, 2, 2), (2, 4, 2, 2), (3, 3, 2, 2), (2, 3, 3, 2), (3, 4, 2, 3), (3, 3, 3, 3)]
+    for shape in shapes:
+        dist = np.full(shape[:2], 1.0 / (shape[0] * shape[1]))
+        games.append(Game(*shape, dist, np.ones(shape)))
+        games.append(Game(*shape, dist, rng.integers(0, 2, size=shape).astype(float)))
+        cost = rng.integers(0, 2, size=shape).astype(float)
+        cost[rng.random(shape) < 0.15] = INF
+        games.append(Game(*shape, dist, cost))
+    return games
+
+
+@pytest.mark.parametrize("block", [None, 16], ids=["one-block", "many-chunks"])
+def test_classical_rescores_tied_pairs_like_the_full_scan(monkeypatch, block):
+    # the near pairs are re-scored as arrays; a small block makes both the
+    # strategy blocks and the chunks of re-scored pairs small
+    if block is not None:
+        monkeypatch.setattr(classical, "_BLOCK_ENTRIES", block)
+    for game in tied_games():
+        assert classical_cost(game) == full_scan(game), game.cost.shape

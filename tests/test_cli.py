@@ -442,6 +442,24 @@ def test_sweep_identical_bytes_across_runs_and_threads(capsys, tmp_path):
     assert paths[2].read_bytes() == first
 
 
+@pytest.mark.parametrize("dims", [("2", "2"), ("2", "3")])
+def test_sweep_row_is_the_same_alone_and_inside_a_grid(capsys, dims):
+    # the grid runs every see-saw in one restart stack; each row must not
+    # depend on what else is on the grid
+    common = ["--cap", "auto", "--restarts", "3", "--seed", "6", "--dims", *dims]
+    code, grid, _ = run_cli(capsys, "sweep", "--phi-range", "0.2", "1.3", "4",
+                            "--w-range", "0", "1", "3", *common)
+    assert code == 0
+    rows = grid.splitlines()[1:]
+    assert len(rows) == 12
+    for row in rows[::5]:
+        phi, w = row.split(",")[:2]
+        code, alone, _ = run_cli(capsys, "sweep", "--phi-range", phi, phi, "1",
+                                 "--w-range", w, w, "1", *common)
+        assert code == 0
+        assert alone.splitlines()[1:] == [row]
+
+
 def test_hardy_cap_sweep(capsys, tmp_path):
     out_path = tmp_path / "caps.csv"
     code, _, _ = run_cli(capsys, "hardy-cap-sweep", "--T", "1", "--caps", "1.5,10",

@@ -7,6 +7,7 @@ from ngcost import (
     FamilyParams,
     Game,
     SeesawConfig,
+    auto_cap,
     cap_infinities,
     classical_cost,
     evaluate_quantum_strategy,
@@ -20,6 +21,7 @@ from ngcost import (
     update_bob,
     validate_strategy,
 )
+from ngcost import seesaw
 from ngcost.linalg import kron, partial_trace_b
 
 from qubit_oracle import qubit_grid_minimum
@@ -293,6 +295,111 @@ def test_steps_on_a_stack_match_single_calls():
             assert isinstance(cost, float)
             assert abs(best_costs[r] - cost) <= 1e-12
             assert abs(abs(np.vdot(best_states[r], state)) - 1.0) <= 1e-12
+
+
+def family_grid(phis, ws):
+    """The sweep grid: family games with every +inf entry capped at auto_cap."""
+    games = [make_family_game(FamilyParams(phi, w)) for phi in phis for w in ws]
+    return [cap_infinities(g, auto_cap(g)) if np.isinf(g.cost).any() else g for g in games]
+
+
+HARDY_CAPS = [cap_infinities(make_hardy_game(1.0), cap) for cap in (2.0, 4.0, 10.0)]
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (4, 4)])
+def test_steps_on_a_sequence_of_games_match_per_game_calls_bitwise(d_a, d_b):
+    # entry r of the stack plays games[owner[r]]; each game's rows must come
+    # out exactly as a call with that one game on those rows
+    rng = np.random.default_rng(60)
+    games = family_grid([0.3, 1.076], [0.0, 1.4]) + HARDY_CAPS[:1]
+    owner = np.array([0, 1, 2, 3, 4, 1, 0, 4, 3, 2, 2])
+    sequence = [games[g] for g in owner]
+    size = len(owner)
+    states = rng.normal(size=(size, d_a * d_b)) + 1j * rng.normal(size=(size, d_a * d_b))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    alice = _random_batch(rng, size, 2, d_a)
+    bob = _random_batch(rng, size, 2, d_b)
+    ops = game_operator(sequence, alice, bob)
+    new_alice = update_alice(sequence, states, bob)
+    new_bob = update_bob(sequence, states, alice)
+    best_states, best_costs = optimal_state(sequence, alice, bob)
+    for g, game in enumerate(games):
+        rows = owner == g
+        assert np.array_equal(ops[rows], game_operator(game, alice[rows], bob[rows]))
+        assert np.array_equal(new_alice[rows], update_alice(game, states[rows], bob[rows]))
+        assert np.array_equal(new_bob[rows], update_bob(game, states[rows], alice[rows]))
+        state, cost = optimal_state(game, alice[rows], bob[rows])
+        assert np.array_equal(best_states[rows], state)
+        assert np.array_equal(best_costs[rows], cost)
+
+
+def test_steps_reject_mixed_shapes_and_a_sequence_of_the_wrong_length():
+    rng = np.random.default_rng(62)
+    chsh = make_chsh_game()
+    three = Game(3, 2, 2, 2, np.full((3, 2), 1 / 6), np.zeros((3, 2, 2, 2)))
+    alice, bob = _random_batch(rng, 2, 2, 2), _random_batch(rng, 2, 2, 2)
+    states = np.full((2, 4), 0.5, dtype=complex)
+    with pytest.raises(ValueError, match="shape"):
+        game_operator([chsh, three], alice, bob)
+    with pytest.raises(ValueError, match="shape"):
+        update_alice([chsh, three], states, bob)
+    with pytest.raises(ValueError, match="batch"):
+        update_bob([chsh] * 3, states, alice)
+    with pytest.raises(ValueError, match="cap"):
+        optimal_state([chsh, make_hardy_game(1.0)], alice, bob)
+
+
+def test_grid_driver_rejects_mixed_shapes_before_any_iteration():
+    three = Game(3, 2, 2, 2, np.full((3, 2), 1 / 6), np.zeros((3, 2, 2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        seesaw._seesaw_stack([make_chsh_game(), three], SeesawConfig(restarts=2))
+    with pytest.raises(ValueError, match="cap"):
+        seesaw._seesaw_stack([make_chsh_game(), make_hardy_game(1.0)], SeesawConfig(restarts=2))
+
+
+def assert_same_report(got, want):
+    assert got.best_cost == want.best_cost
+    assert got.best_restart == want.best_restart
+    assert got.traces == want.traces  # tuple equality also compares lengths
+    for name in ("state", "alice_povms", "bob_povms"):
+        assert np.array_equal(getattr(got.best_strategy, name), getattr(want.best_strategy, name))
+
+
+def assert_value_matches_strategy(game, report):
+    replay = evaluate_quantum_strategy(game, report.best_strategy)
+    assert abs(report.best_cost - replay) <= 1e-12 * max(1.0, abs(report.best_cost))
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (4, 4)])
+@pytest.mark.parametrize("grid", ["family", "hardy-caps"])
+def test_grid_driver_matches_per_game_seesaw_bitwise(grid, d_a, d_b):
+    games = (family_grid([0.05, 0.49, 1.076, 1.5], [0.0, 0.5, 1.0]) if grid == "family"
+             else HARDY_CAPS)
+    config = SeesawConfig(d_a=d_a, d_b=d_b, restarts=3, max_iters=60, seed=5)
+    reports = seesaw._seesaw_stack(games, config)
+    assert len(reports) == len(games)
+    for game, report in zip(games, reports):
+        assert_same_report(report, seesaw_upper_bound(game, config))
+        assert_value_matches_strategy(game, report)
+
+
+@pytest.mark.parametrize("cap", [1, 4, 7])
+def test_grid_driver_runs_grids_above_the_stack_cap_in_chunks(monkeypatch, cap):
+    # cap 1 and 4 hold one game of 3 restarts per stack, 7 holds two
+    games = family_grid([0.3, 0.8, 1.2], [0.0, 1.0]) + HARDY_CAPS
+    config = SeesawConfig(restarts=3, max_iters=80, seed=9)
+    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", cap)
+    for game, report in zip(games, seesaw._seesaw_stack(games, config)):
+        assert_same_report(report, seesaw_upper_bound(game, config))
+
+
+def test_grid_driver_on_a_grid_larger_than_the_stack():
+    config = SeesawConfig(restarts=3, max_iters=40, seed=4)
+    games = family_grid(np.linspace(0.0, 1.5, 15), [0.0, 0.5, 1.0])
+    assert len(games) * config.restarts > seesaw._STACK_ENTRIES
+    for game, report in zip(games, seesaw._seesaw_stack(games, config)):
+        assert_same_report(report, seesaw_upper_bound(game, config))
+        assert_value_matches_strategy(game, report)
 
 
 def test_update_rejects_mismatched_batch_axes():
