@@ -145,18 +145,23 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _emit(args, doc: dict, lines: list[str], behavior: Behavior | None = None) -> int:
+    """Print doc as indented JSON under --json, else the text lines and behavior's table."""
+    if args.json:
+        print(json.dumps(doc, indent=2))
+    else:
+        # formatted only here: on wide games the table costs more than the JSON
+        table = _behavior_lines(behavior) if behavior is not None else []
+        print("\n".join(lines + table))
+    return 0
+
+
 def _cmd_classical(args) -> int:
     game = _resolve_game(args)
     value, witness = classical_cost(game)
-    if args.json:
-        print(json.dumps({
-            "cost": _jsonable(value),
-            "witness": {"alpha": list(witness.alpha), "beta": list(witness.beta)},
-        }, indent=2))
-    else:
-        print(f"classical cost: {_fmt(value)}")
-        print(f"witness: alpha={list(witness.alpha)} beta={list(witness.beta)}")
-    return 0
+    alpha, beta = list(witness.alpha), list(witness.beta)
+    return _emit(args, {"cost": _jsonable(value), "witness": {"alpha": alpha, "beta": beta}},
+                 [f"classical cost: {_fmt(value)}", f"witness: alpha={alpha} beta={beta}"])
 
 
 def _cmd_quantum(args) -> int:
@@ -165,16 +170,8 @@ def _cmd_quantum(args) -> int:
     _require_same_shape(game, strategy)
     behavior = behavior_of(strategy)
     value = expected_cost(game, behavior.p)
-    if args.json:
-        print(json.dumps({
-            "cost": _jsonable(value),
-            "behavior": behavior.p.tolist(),
-        }, indent=2))
-    else:
-        print(f"quantum strategy cost: {_fmt(value)}")
-        for line in _behavior_lines(behavior):
-            print(line)
-    return 0
+    return _emit(args, {"cost": _jsonable(value), "behavior": behavior.p.tolist()},
+                 [f"quantum strategy cost: {_fmt(value)}"], behavior)
 
 
 def _seesaw_config(args) -> SeesawConfig:
@@ -192,47 +189,35 @@ def _cmd_seesaw(args) -> int:
     iters = [len(trace) - 1 for trace in report.traces]
     if args.out:
         save_strategy(report.best_strategy, args.out)
-    if args.json:
-        print(json.dumps({
-            "best_cost": _jsonable(report.best_cost),
-            "restarts": report.restarts,
-            "best_restart": report.best_restart,
-            "final_costs": [_jsonable(v) for v in finals],
-            "iterations": iters,
-        }, indent=2))
-    else:
-        print(f"see-saw upper bound: {_fmt(report.best_cost)}")
-        print(f"restarts: {report.restarts}, best found at restart {report.best_restart}")
-        print(f"iterations per restart: min {min(iters)}, "
-              f"median {statistics.median(iters)}, max {max(iters)}")
-        if args.out:
-            print(f"best strategy written to {args.out}")
-    return 0
+    doc = {
+        "best_cost": _jsonable(report.best_cost),
+        "restarts": report.restarts,
+        "best_restart": report.best_restart,
+        "final_costs": [_jsonable(v) for v in finals],
+        "iterations": iters,
+    }
+    lines = [
+        f"see-saw upper bound: {_fmt(report.best_cost)}",
+        f"restarts: {report.restarts}, best found at restart {report.best_restart}",
+        f"iterations per restart: min {min(iters)}, "
+        f"median {statistics.median(iters)}, max {max(iters)}",
+    ]
+    if args.out:
+        lines.append(f"best strategy written to {args.out}")
+    return _emit(args, doc, lines)
 
 
 def _cmd_ns(args) -> int:
     game = _resolve_game(args)
     value, witness = ns_lower_bound(game)
-    if args.json:
-        print(json.dumps({
-            "cost": _jsonable(value),
-            "witness": witness.p.tolist(),
-        }, indent=2))
-    else:
-        print(f"non-signalling lower bound: {_fmt(value)}")
-        for line in _behavior_lines(witness):
-            print(line)
-    return 0
+    return _emit(args, {"cost": _jsonable(value), "witness": witness.p.tolist()},
+                 [f"non-signalling lower bound: {_fmt(value)}"], witness)
 
 
 def _cmd_hardy_theta(args) -> int:
     theta, p00 = optimize_hardy_theta()
-    if args.json:
-        print(json.dumps({"theta": theta, "p00": p00}, indent=2))
-    else:
-        print(f"optimal theta: {_fmt(theta)}")
-        print(f"p(0,0|0,0): {_fmt(p00)}")
-    return 0
+    return _emit(args, {"theta": theta, "p00": p00},
+                 [f"optimal theta: {_fmt(theta)}", f"p(0,0|0,0): {_fmt(p00)}"])
 
 
 def _grid(bounds: list[float], name: str, low: float, high: float) -> np.ndarray:

@@ -64,20 +64,16 @@ class SeesawReport:
 _STACK_ENTRIES = 128
 
 
-def _weights_of(game: Game | Sequence[Game]) -> np.ndarray:
-    """game._weights, or the tables of a sequence of games on a leading axis.
+def _weights_of(game: Game | np.ndarray) -> np.ndarray:
+    """game._weights, or a weighted cost table as a float array.
 
-    Raises ValueError when the games differ in shape or an input of
+    Raises ValueError when a table has fewer than 4 axes or an input of
     positive weight has an infinite cost entry.
     """
-    if isinstance(game, Game):
-        weights = game._weights
-    else:
-        tables = [g._weights for g in game]
-        shapes = sorted({t.shape for t in tables})
-        if len(shapes) != 1:
-            raise ValueError(f"games must share one shape, got {shapes or 'no game'}")
-        weights = np.array(tables)
+    weights = game._weights if isinstance(game, Game) else np.asarray(game, dtype=float)
+    if weights.ndim < 4:
+        raise ValueError(f"weighted cost table has shape {weights.shape}, "
+                         "expected (...,n_s,n_t,n_a,n_b)")
     # +inf entries of zero-weight inputs are 0 in the table and need no cap
     if np.isinf(weights).any():
         raise ValueError("game has infinite costs; cap them first (cap_infinities, or --cap)")
@@ -94,20 +90,20 @@ def _povm_stack(povms, n_inputs: int, n_outcomes: int, who: str) -> np.ndarray:
 
 
 def _require_batch(weights: np.ndarray, batch: tuple[int, ...]) -> None:
-    # a sequence of games gives one game per entry of a single batch axis
+    # a stacked table gives one table per batch entry
     if weights.ndim > 4 and batch != weights.shape[:-4]:
-        raise ValueError(f"batch axes differ: {weights.shape[0]} games, POVMs {batch}")
+        raise ValueError(f"batch axes differ: table {weights.shape[:-4]}, POVMs {batch}")
 
 
-def game_operator(game: Game | Sequence[Game], alice_povms, bob_povms) -> np.ndarray:
+def game_operator(game: Game | np.ndarray, alice_povms, bob_povms) -> np.ndarray:
     """Operator whose expectation on |psi> is the expected cost.
 
     G = sum_{s,t,a,b} pi(s,t) C(a,b|s,t) A^s_a x B^t_b, returned as a
     dense (dA*dB) x (dA*dB) Hermitian matrix.  POVMs of shape
     (..., n, outcomes, d, d) with equal leading batch axes give a stack
     of operators of shape (..., dA*dB, dA*dB).  game is one Game, shared
-    by every batch entry, or a sequence of same-shape games, one per
-    entry of a single batch axis.
+    by every batch entry, or a weighted cost table pi(s,t) C(a,b|s,t) of
+    shape (..., n_s, n_t, n_a, n_b), one table per batch entry.
     """
     weights = _weights_of(game)
     n_s, n_t, n_a, n_b = weights.shape[-4:]
@@ -122,7 +118,7 @@ def game_operator(game: Game | Sequence[Game], alice_povms, bob_povms) -> np.nda
     return G.reshape(A.shape[:-4] + (d_a * d_b, d_a * d_b))
 
 
-def optimal_state(game: Game | Sequence[Game], alice_povms,
+def optimal_state(game: Game | np.ndarray, alice_povms,
                   bob_povms) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimum-eigenvalue state of the game operator and its cost.
 
@@ -163,7 +159,7 @@ def _checked_state(state, other: np.ndarray, who: str) -> np.ndarray:
     return psi
 
 
-def update_alice(game: Game | Sequence[Game], state: np.ndarray, bob_povms) -> np.ndarray:
+def update_alice(game: Game | np.ndarray, state: np.ndarray, bob_povms) -> np.ndarray:
     """Exact best binary projective response for Alice, Bob and state fixed.
 
     Returns an array of shape (..., n_s, 2, dA, dA) holding the projectors
@@ -182,7 +178,7 @@ def update_alice(game: Game | Sequence[Game], state: np.ndarray, bob_povms) -> n
     return _best_response(weights, psi, B)
 
 
-def update_bob(game: Game | Sequence[Game], state: np.ndarray, alice_povms) -> np.ndarray:
+def update_bob(game: Game | np.ndarray, state: np.ndarray, alice_povms) -> np.ndarray:
     """Exact best binary projective response for Bob, Alice and state fixed.
 
     Returns an array of shape (..., n_t, 2, dB, dB), with the batch
@@ -222,29 +218,24 @@ def _random_start(config: SeesawConfig, n_s: int, n_t: int, restart: int):
     return state, alice, bob
 
 
-def _run_stack(games: list[Game], config: SeesawConfig, starts) -> list[SeesawReport]:
-    """Every (game, restart) entry of games advanced as one stack.
+def _run_stack(tables: np.ndarray, config: SeesawConfig, starts) -> list[SeesawReport]:
+    """Every (game, restart) entry of a stack of weighted cost tables advanced together.
 
-    Entry g * restarts + r is restart r of games[g], started from
-    starts[r].  A stack of one game hands the steps that Game itself, so
-    seesaw_upper_bound does the numpy work of one shared cost table.
+    Entry g * restarts + r is restart r of tables[g], started from
+    starts[r].
     """
-    n_games, restarts = len(games), config.restarts
+    n_games, restarts = len(tables), config.restarts
     state, alice, bob = (np.concatenate([part] * n_games) for part in starts)
-    owner = np.repeat(np.arange(n_games), restarts)
-
-    def game_of(entries: np.ndarray):
-        return games[0] if n_games == 1 else [games[g] for g in owner[entries].tolist()]
-
+    weights = np.repeat(tables, restarts, axis=0)
     active = np.arange(n_games * restarts)
-    operator = game_operator(game_of(active), alice, bob)
+    operator = game_operator(weights, alice, bob)
     cost = np.einsum("ri,rij,rj->r", state.conj(), operator, state).real
     traces = [[c] for c in cost.tolist()]
     for _ in range(config.max_iters):
-        game, psi = game_of(active), state[active]
-        new_alice = update_alice(game, psi, bob[active])
-        new_bob = update_bob(game, psi, new_alice)
-        new_state, new_cost = optimal_state(game, new_alice, new_bob)
+        table, psi = weights[active], state[active]
+        new_alice = update_alice(table, psi, bob[active])
+        new_bob = update_bob(table, psi, new_alice)
+        new_state, new_cost = optimal_state(table, new_alice, new_bob)
         alice[active], bob[active], state[active] = new_alice, new_bob, new_state
         for r, c in zip(active.tolist(), new_cost.tolist()):
             traces[r].append(c)
@@ -274,18 +265,21 @@ def _seesaw_stack(games: Sequence[Game], config: SeesawConfig) -> list[SeesawRep
     Each entry keeps its own stopping rule, so every report equals that
     of seesaw_upper_bound on its game alone.
     """
-    games = list(games)
     for game in games:
         require_valid_game(game)
-    n_s, n_t, n_a, n_b = _weights_of(games).shape[-4:]
+    shapes = sorted({game._weights.shape for game in games})
+    if len(shapes) != 1:
+        raise ValueError(f"games must share one shape, got {shapes or 'no game'}")
+    tables = _weights_of(np.array([game._weights for game in games]))
+    n_s, n_t, n_a, n_b = tables.shape[-4:]
     if n_a != 2 or n_b != 2:
         raise ValueError(f"see-saw handles binary answers only, got n_a={n_a}, n_b={n_b}")
     starts = [_random_start(config, n_s, n_t, r) for r in range(config.restarts)]
     starts = [np.array(part, dtype=complex) for part in zip(*starts)]
     per_stack = max(1, _STACK_ENTRIES // config.restarts)
     reports = []
-    for first in range(0, len(games), per_stack):
-        reports += _run_stack(games[first:first + per_stack], config, starts)
+    for first in range(0, len(tables), per_stack):
+        reports += _run_stack(tables[first:first + per_stack], config, starts)
     return reports
 
 

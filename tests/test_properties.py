@@ -1,5 +1,5 @@
-"""Property tests: JSON round-trips, the classical value under capping and
-the ns bound on games with zero-weight inputs.
+"""Property tests: JSON round-trips, the classical value under capping, and
+the ns bound and the see-saw on games with zero-weight inputs.
 
 Shapes stay small so that each example runs in milliseconds; the
 hypothesis profile in conftest.py makes the examples the same on every run.
@@ -18,11 +18,14 @@ from hypothesis.extra.numpy import arrays
 from ngcost import (
     Game,
     QuantumStrategy,
+    SeesawConfig,
     cap_infinities,
     classical_cost,
+    evaluate_quantum_strategy,
     game_from_dict,
     game_to_dict,
     ns_lower_bound,
+    seesaw_upper_bound,
     strategy_from_dict,
     strategy_to_dict,
     validate_game,
@@ -56,6 +59,7 @@ def quantum_strategies(draw) -> QuantumStrategy:
 
 COST = st.one_of(st.floats(0.0, 10.0, width=64), st.integers(0, 5).map(float),
                  st.just(math.inf))
+FINITE_COST = st.one_of(st.floats(0.0, 10.0, width=64), st.integers(0, 5).map(float))
 
 
 @st.composite
@@ -118,6 +122,30 @@ def test_ns_bound_is_feasible_and_below_classical_with_zero_weight_inputs(game):
     value = classical_cost(game)[0]
     if math.isfinite(value):
         assert ns_lower_bound(game)[0] <= value + 1e-9
+
+
+@st.composite
+def binary_games_with_idle_infinities(draw) -> Game:
+    """Binary-answer games whose +inf costs all sit on inputs of weight zero."""
+    n_s, n_t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    weights = draw(arrays(float, (n_s, n_t), elements=st.integers(0, 2), fill=st.nothing()))
+    assume(weights.sum() > 0)
+    cost = draw(arrays(float, (n_s, n_t, 2, 2), elements=FINITE_COST))
+    infinite = draw(arrays(bool, (n_s, n_t, 2, 2)))
+    cost[infinite & (weights == 0)[:, :, None, None]] = math.inf
+    return Game(n_s, n_t, 2, 2, weights / weights.sum(), cost)
+
+
+@given(binary_games_with_idle_infinities())
+def test_seesaw_runs_on_infinities_of_zero_weight_inputs(game):
+    """The see-saw needs no cap for +inf entries that no input of positive weight meets:
+    its value is that of the strategy it returns, and never below the ns bound.
+    """
+    report = seesaw_upper_bound(game, SeesawConfig(restarts=3, max_iters=60, seed=3))
+    c = report.best_cost
+    replay = evaluate_quantum_strategy(game, report.best_strategy)
+    assert abs(c - replay) <= 1e-12 * max(1.0, abs(c))
+    assert ns_lower_bound(game)[0] <= c + 1e-9
 
 
 def test_a_cap_below_the_threshold_can_lower_the_classical_value():

@@ -10,11 +10,13 @@ documented part, which must then be a prefix of the printed output.
 Numeric cells and values must agree within 1e-12: a
 change that moves a documented value fails here instead of leaving the
 README stale, while a change of a few ulps, which reordering a
-floating-point sum can cause, passes.
+floating-point sum can cause, passes. The Python API block is run too,
+and the values its comments give are checked.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import shlex
 from pathlib import Path
@@ -126,3 +128,19 @@ def test_readme_solver_example_matches_output(capsys, command, expected):
     assert len(printed) == len(expected)
     for got, want in zip(printed, expected):
         assert _lines_agree(got, want), f"{command}: printed {got!r}, README has {want!r}"
+
+
+def _python_api_block() -> str:
+    text = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_python_api_block_gives_its_documented_values():
+    namespace: dict = {}
+    exec(_python_api_block(), namespace)
+    witness = namespace["witness"]
+    assert namespace["cost"] == 0.25
+    assert (tuple(witness.alpha), tuple(witness.beta)) == ((0, 0), (0, 0))
+    assert namespace["ns_cost"] == 0.0
+    tsirelson = (2.0 - math.sqrt(2.0)) / 4.0
+    assert abs(namespace["report"].best_cost - tsirelson) <= 1e-4

@@ -308,21 +308,21 @@ HARDY_CAPS = [cap_infinities(make_hardy_game(1.0), cap) for cap in (2.0, 4.0, 10
 
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (4, 4)])
 def test_steps_on_a_sequence_of_games_match_per_game_calls_bitwise(d_a, d_b):
-    # entry r of the stack plays games[owner[r]]; each game's rows must come
-    # out exactly as a call with that one game on those rows
+    # entry r of the stacked weighted cost table plays games[owner[r]]; each
+    # game's rows must come out exactly as a call with that one game on those rows
     rng = np.random.default_rng(60)
     games = family_grid([0.3, 1.076], [0.0, 1.4]) + HARDY_CAPS[:1]
     owner = np.array([0, 1, 2, 3, 4, 1, 0, 4, 3, 2, 2])
-    sequence = [games[g] for g in owner]
+    table = np.array([games[g]._weights for g in owner])
     size = len(owner)
     states = rng.normal(size=(size, d_a * d_b)) + 1j * rng.normal(size=(size, d_a * d_b))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     alice = _random_batch(rng, size, 2, d_a)
     bob = _random_batch(rng, size, 2, d_b)
-    ops = game_operator(sequence, alice, bob)
-    new_alice = update_alice(sequence, states, bob)
-    new_bob = update_bob(sequence, states, alice)
-    best_states, best_costs = optimal_state(sequence, alice, bob)
+    ops = game_operator(table, alice, bob)
+    new_alice = update_alice(table, states, bob)
+    new_bob = update_bob(table, states, alice)
+    best_states, best_costs = optimal_state(table, alice, bob)
     for g, game in enumerate(games):
         rows = owner == g
         assert np.array_equal(ops[rows], game_operator(game, alice[rows], bob[rows]))
@@ -334,19 +334,22 @@ def test_steps_on_a_sequence_of_games_match_per_game_calls_bitwise(d_a, d_b):
 
 
 def test_steps_reject_mixed_shapes_and_a_sequence_of_the_wrong_length():
+    # games of mixed shapes cannot share one stacked table; the grid driver
+    # refuses them (test_grid_driver_rejects_mixed_shapes_before_any_iteration),
+    # and a table whose input counts disagree with the POVMs is refused here
     rng = np.random.default_rng(62)
-    chsh = make_chsh_game()
-    three = Game(3, 2, 2, 2, np.full((3, 2), 1 / 6), np.zeros((3, 2, 2, 2)))
+    chsh = make_chsh_game()._weights
+    three = Game(3, 2, 2, 2, np.full((3, 2), 1 / 6), np.zeros((3, 2, 2, 2)))._weights
     alice, bob = _random_batch(rng, 2, 2, 2), _random_batch(rng, 2, 2, 2)
     states = np.full((2, 4), 0.5, dtype=complex)
     with pytest.raises(ValueError, match="shape"):
-        game_operator([chsh, three], alice, bob)
-    with pytest.raises(ValueError, match="shape"):
-        update_alice([chsh, three], states, bob)
+        game_operator(np.array([three, three]), alice, bob)
+    with pytest.raises(ValueError, match="weighted cost table has shape"):
+        update_alice(chsh[0], states, bob)
     with pytest.raises(ValueError, match="batch"):
-        update_bob([chsh] * 3, states, alice)
+        update_bob(np.array([chsh] * 3), states, alice)
     with pytest.raises(ValueError, match="cap"):
-        optimal_state([chsh, make_hardy_game(1.0)], alice, bob)
+        optimal_state(np.array([chsh, make_hardy_game(1.0)._weights]), alice, bob)
 
 
 def test_grid_driver_rejects_mixed_shapes_before_any_iteration():
