@@ -21,7 +21,6 @@ from .games import (
     make_family_game,
     make_hardy_game,
     save_game,
-    validate_game,
 )
 from .linalg import herm_eig, kron, partial_trace_a, partial_trace_b
 from .nsbound import (
@@ -90,10 +89,10 @@ __all__ = [
     "make_chsh_game",
     "make_family_game",
     "make_hardy_game",
+    "ns_lower_bound",
     "observable_to_povm",
     "optimal_state",
     "optimize_hardy_theta",
-    "ns_lower_bound",
     "partial_trace_a",
     "partial_trace_b",
     "save_game",
@@ -105,6 +104,5 @@ __all__ = [
     "strategy_to_dict",
     "update_alice",
     "update_bob",
-    "validate_game",
     "validate_strategy",
 ]

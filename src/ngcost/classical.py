@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, require_valid_game
+from .games import Game
 
 ENUMERATION_LIMIT = 10**8
 # Strategies are scanned in blocks of about this many partial-cost entries
@@ -183,11 +183,10 @@ def classical_cost(game: Game) -> tuple[float, DeterministicStrategy]:
     strategy_cost, and the first pair attaining it, or the all-zeros pair
     when every pair costs +inf.
 
-    Raises ValueError when validate_game reports a problem, when both
-    parties have more than ENUMERATION_LIMIT (10**8) strategies, or when
-    more than that many pairs lie within rounding of the minimum.
+    Raises ValueError when both parties have more than ENUMERATION_LIMIT
+    (10**8) strategies, or when more than that many pairs lie within
+    rounding of the minimum.
     """
-    require_valid_game(game)
     n_alpha, n_beta = game.n_a ** game.n_s, game.n_b ** game.n_t
     if min(n_alpha, n_beta) > ENUMERATION_LIMIT:
         raise ValueError(

@@ -2,9 +2,10 @@
 
 A game pairs an input distribution pi(s, t) with a cost table
 C(a, b | s, t).  Cost entries are floats where +inf marks a forbidden
-answer pair; NaN and -inf are rejected.  Built-in constructors cover
-the CHSH game, the Hardy game with penalty T, and the two-parameter
-family G(phi, w) that contains both as endpoints.
+answer pair; building a Game with a NaN or -inf cost, or with an input
+distribution that is not a probability distribution, raises ValueError.
+Built-in constructors cover the CHSH game, the Hardy game with penalty
+T, and the two-parameter family G(phi, w) that contains both as endpoints.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ class Game:
     """Two-party game: alphabet sizes, input distribution, cost table.
 
     input_dist has shape (n_s, n_t) and cost has shape
-    (n_s, n_t, n_a, n_b).  Arrays are copied and frozen on construction;
-    invariants are checked by validate_game, not here, so that invalid
-    tables can still be built and diagnosed.
+    (n_s, n_t, n_a, n_b).  Arrays are copied, frozen and checked on
+    construction: bad sizes or shapes, a NaN or -inf cost, or an input
+    distribution that is negative, not finite or does not sum to 1 raise
+    ValueError with every diagnostic, joined by "; ".
     """
 
     n_s: int
@@ -44,6 +46,9 @@ class Game:
         cost.flags.writeable = False
         object.__setattr__(self, "input_dist", dist)
         object.__setattr__(self, "cost", cost)
+        problems = _problems(self)
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @cached_property
     def _weights(self) -> np.ndarray:
@@ -153,8 +158,8 @@ def auto_cap(game: Game) -> float:
     return 2.0 * max_finite if max_finite > 0 else 1.0
 
 
-def validate_game(game: Game) -> list[str]:
-    """Return human-readable diagnostics; empty list means the game is valid."""
+def _problems(game: Game) -> list[str]:
+    """Human-readable diagnostics of a game's arrays; empty when they make a game."""
     problems = []
     for name, size in (("n_s", game.n_s), ("n_t", game.n_t),
                        ("n_a", game.n_a), ("n_b", game.n_b)):
@@ -171,7 +176,8 @@ def validate_game(game: Game) -> list[str]:
     else:
         for s, t in zip(*np.nonzero(~(np.isfinite(dist) & (dist >= 0)))):
             problems.append(f"invalid input probability at ({s},{t}): {dist[s, t]}")
-        total = float(dist.sum())
+        with np.errstate(invalid="ignore"):  # +inf and -inf entries sum to NaN
+            total = float(dist.sum())
         if abs(total - 1.0) > DIST_SUM_TOL:
             problems.append(f"input distribution not normalized (sum={total!r})")
 
@@ -183,13 +189,6 @@ def validate_game(game: Game) -> list[str]:
         for s, t, a, b in zip(*np.nonzero(np.isnan(cost) | (cost == -math.inf))):
             problems.append(f"invalid cost entry at ({s},{t},{a},{b}): {cost[s, t, a, b]}")
     return problems
-
-
-def require_valid_game(game: Game) -> None:
-    """Raise ValueError with validate_game's diagnostics, joined by "; "."""
-    problems = validate_game(game)
-    if problems:
-        raise ValueError("; ".join(problems))
 
 
 def expected_cost(game: Game, p: np.ndarray) -> float:
@@ -301,9 +300,7 @@ def game_from_dict(data: dict) -> Game:
     shape = _check_document(data, "game", _GAME_FIELDS, ("n_s", "n_t", "n_a", "n_b"))
     dist = _read_nested(data["input_dist"], shape[:2], _PROBABILITY, "input_dist")
     cost = _read_nested(data["cost"], shape, _COST_ENTRY, "cost")
-    game = Game(*shape, dist, cost)
-    require_valid_game(game)
-    return game
+    return Game(*shape, dist, cost)
 
 
 def save_game(game: Game, path: str) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .games import Game, expected_cost, require_valid_game
+from .games import Game, expected_cost
 from .quantum import Behavior
 from .simplex import LinearProgram, LpInfeasibleError, solve
 
@@ -47,10 +47,8 @@ def ns_lower_bound(game: Game) -> tuple[float, Behavior]:
     the LP (forced to exact zero); a zero-weight input costs nothing
     anywhere, so the witness may put mass there.  Raises
     NonSignallingInfeasibleError when the forced zeros contradict the
-    normalization and marginal constraints, and ValueError when
-    validate_game reports a problem.
+    normalization and marginal constraints.
     """
-    require_valid_game(game)
     n_s, n_t, n_a, n_b = game.n_s, game.n_t, game.n_a, game.n_b
     n_vars = n_s * n_t * n_a * n_b
 

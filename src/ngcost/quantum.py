@@ -306,9 +306,10 @@ def strategy_from_dict(data: dict) -> QuantumStrategy:
 
 
 def save_strategy(strategy: QuantumStrategy, path: str) -> None:
+    """Write strategy_to_dict as JSON; a NaN or inf entry raises ValueError and writes no file."""
+    text = json.dumps(strategy_to_dict(strategy), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(strategy_to_dict(strategy), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_strategy(path: str) -> QuantumStrategy:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import Game, require_valid_game
+from .games import Game
 # kron and the partial traces are no longer used here; they stay importable
 # from this module because benchmarks/tracer.py wraps them by name.
 from .linalg import herm_eig, kron, partial_trace_a, partial_trace_b  # noqa: F401
@@ -67,15 +67,18 @@ _STACK_ENTRIES = 128
 def _weights_of(game: Game | np.ndarray) -> np.ndarray:
     """game._weights, or a weighted cost table as a float array.
 
-    Raises ValueError when a table has fewer than 4 axes or an input of
-    positive weight has an infinite cost entry.
+    Raises ValueError when a table has fewer than 4 axes or an entry that
+    is not finite; +inf, an infinite cost of positive weight, asks for a cap.
     """
     weights = game._weights if isinstance(game, Game) else np.asarray(game, dtype=float)
     if weights.ndim < 4:
         raise ValueError(f"weighted cost table has shape {weights.shape}, "
                          "expected (...,n_s,n_t,n_a,n_b)")
     # +inf entries of zero-weight inputs are 0 in the table and need no cap
-    if np.isinf(weights).any():
+    if not np.isfinite(weights).all():
+        bad = weights[np.isnan(weights) | np.isneginf(weights)]
+        if bad.size:
+            raise ValueError(f"weighted cost table entries must be finite or +inf, got {bad[0]}")
         raise ValueError("game has infinite costs; cap them first (cap_infinities, or --cap)")
     return weights
 
@@ -257,7 +260,7 @@ def _run_stack(tables: np.ndarray, config: SeesawConfig, starts) -> list[SeesawR
 def _seesaw_stack(games: Sequence[Game], config: SeesawConfig) -> list[SeesawReport]:
     """seesaw_upper_bound of each of a sequence of same-shape games, in order.
 
-    Every game is validated before any iteration runs.  The random
+    Every game is checked before any iteration runs.  The random
     starts depend only on config and the input counts, so they are
     drawn once; then every (game, restart) pair advances as one entry of
     a stack of whole games, as many as fit in _STACK_ENTRIES entries but
@@ -265,8 +268,6 @@ def _seesaw_stack(games: Sequence[Game], config: SeesawConfig) -> list[SeesawRep
     Each entry keeps its own stopping rule, so every report equals that
     of seesaw_upper_bound on its game alone.
     """
-    for game in games:
-        require_valid_game(game)
     shapes = sorted({game._weights.shape for game in games})
     if len(shapes) != 1:
         raise ValueError(f"games must share one shape, got {shapes or 'no game'}")
@@ -292,8 +293,8 @@ def seesaw_upper_bound(game: Game, config: SeesawConfig = SeesawConfig()) -> See
     a restart leaves the stack, keeping its state, measurements and
     trace, when an iteration improves its cost by less than config.tol
     or after config.max_iters rounds.  Ties between restarts keep the
-    earliest one.  Raises ValueError when validate_game reports a
-    problem or an input of positive weight has an infinite cost entry;
-    +inf entries of zero-weight inputs cost nothing and need no cap.
+    earliest one.  Raises ValueError when an input of positive weight
+    has an infinite cost entry; +inf entries of zero-weight inputs cost
+    nothing and need no cap.
     """
     return _seesaw_stack([game], config)[0]

@@ -213,9 +213,9 @@ def test_classical_rejects_invalid_cost_entries(entry, message):
 
 
 def test_classical_rejects_unnormalized_distribution():
-    g = Game(2, 2, 2, 2, np.full((2, 2), 0.3), make_chsh_game().cost)
+    # the game cannot be built, so classical_cost never sees one
     with pytest.raises(ValueError, match="not normalized"):
-        classical_cost(g)
+        classical_cost(Game(2, 2, 2, 2, np.full((2, 2), 0.3), make_chsh_game().cost))
 
 
 def full_scan(game):

@@ -17,7 +17,6 @@ from ngcost import (
     make_family_game,
     make_hardy_game,
     save_game,
-    validate_game,
 )
 
 INF = math.inf
@@ -162,47 +161,47 @@ def test_auto_cap_values():
     assert auto_cap(zero) == 1.0
 
 
+# A Game checks itself when built: these build, or raise ValueError with
+# every diagnostic joined by "; ".
+
 def test_validate_game_accepts_builtins():
-    assert validate_game(make_chsh_game()) == []
-    assert validate_game(make_hardy_game(3.0)) == []
-    assert validate_game(make_family_game(FamilyParams(1.0, 0.0))) == []
+    make_chsh_game()
+    make_hardy_game(3.0)
+    make_family_game(FamilyParams(1.0, 0.0))
 
 
 def test_validate_game_reports_bad_distribution():
-    dist = np.full((2, 2), 0.2)
-    g = Game(2, 2, 2, 2, dist, np.zeros((2, 2, 2, 2)))
-    problems = validate_game(g)
-    assert any("not normalized" in p for p in problems)
-
-    g2 = Game(2, 2, 2, 2, [[0.5, 0.75], [-0.25, 0.0]], np.zeros((2, 2, 2, 2)))
-    assert any("invalid input probability at (1,0)" in p for p in validate_game(g2))
+    with pytest.raises(ValueError, match="not normalized"):
+        Game(2, 2, 2, 2, np.full((2, 2), 0.2), np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ValueError, match=r"invalid input probability at \(1,0\)"):
+        Game(2, 2, 2, 2, [[0.5, 0.75], [-0.25, 0.0]], np.zeros((2, 2, 2, 2)))
 
 
 def test_validate_game_reports_bad_cost_entries():
     cost = np.zeros((2, 2, 2, 2))
     cost[0, 1, 0, 1] = math.nan
-    g = Game(2, 2, 2, 2, np.full((2, 2), 0.25), cost)
-    assert any("invalid cost entry at (0,1,0,1)" in p for p in validate_game(g))
+    with pytest.raises(ValueError, match=r"invalid cost entry at \(0,1,0,1\)"):
+        Game(2, 2, 2, 2, np.full((2, 2), 0.25), cost)
 
-    cost2 = np.zeros((2, 2, 2, 2))
-    cost2[1, 0, 1, 1] = -INF
-    g2 = Game(2, 2, 2, 2, np.full((2, 2), 0.25), cost2)
-    assert any("invalid cost entry at (1,0,1,1)" in p for p in validate_game(g2))
+    cost[1, 0, 1, 1] = -INF
+    with pytest.raises(ValueError, match=r"^invalid cost entry at \(0,1,0,1\): nan; "
+                                         r"invalid cost entry at \(1,0,1,1\): -inf$"):
+        Game(2, 2, 2, 2, np.full((2, 2), 0.25), cost)
 
     # +inf is a legal sentinel, not an error
-    assert validate_game(make_hardy_game(1.0)) == []
+    make_hardy_game(1.0)
 
 
 def test_validate_game_reports_shape_mismatches():
-    g = Game(2, 2, 2, 2, np.full((2, 2), 0.25), np.zeros((2, 2, 2, 3)))
-    assert any("cost table has shape" in p for p in validate_game(g))
-    g2 = Game(2, 2, 2, 2, np.full((2, 3), 1.0 / 6.0), np.zeros((2, 2, 2, 2)))
-    assert any("input distribution has shape" in p for p in validate_game(g2))
+    with pytest.raises(ValueError, match="cost table has shape"):
+        Game(2, 2, 2, 2, np.full((2, 2), 0.25), np.zeros((2, 2, 2, 3)))
+    with pytest.raises(ValueError, match="input distribution has shape"):
+        Game(2, 2, 2, 2, np.full((2, 3), 1.0 / 6.0), np.zeros((2, 2, 2, 2)))
 
 
 def test_validate_game_rejects_bad_sizes():
-    g = Game(0, 2, 2, 2, np.full((2, 2), 0.25), np.zeros((2, 2, 2, 2)))
-    assert any("alphabet size" in p for p in validate_game(g))
+    with pytest.raises(ValueError, match="alphabet size"):
+        Game(0, 2, 2, 2, np.full((2, 2), 0.25), np.zeros((2, 2, 2, 2)))
 
 
 def test_expected_cost_zero_weight_skips_infinity():

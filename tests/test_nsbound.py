@@ -248,10 +248,13 @@ def _chsh_with_cost_entry(entry):
     return Game(2, 2, 2, 2, np.full((2, 2), 0.25), cost)
 
 
+# Builders, not games: an invalid Game raises when it is built.
 INVALID_GAMES = {
-    "nan": (_chsh_with_cost_entry(math.nan), "invalid cost entry at \\(0,1,1,0\\): nan"),
-    "minus-inf": (_chsh_with_cost_entry(-INF), "invalid cost entry at \\(0,1,1,0\\): -inf"),
-    "unnormalized": (Game(2, 2, 2, 2, np.full((2, 2), 0.3), make_chsh_game().cost),
+    "nan": (lambda: _chsh_with_cost_entry(math.nan),
+            "invalid cost entry at \\(0,1,1,0\\): nan"),
+    "minus-inf": (lambda: _chsh_with_cost_entry(-INF),
+                  "invalid cost entry at \\(0,1,1,0\\): -inf"),
+    "unnormalized": (lambda: Game(2, 2, 2, 2, np.full((2, 2), 0.3), make_chsh_game().cost),
                      "not normalized"),
 }
 
@@ -259,9 +262,9 @@ INVALID_GAMES = {
 @pytest.mark.parametrize("solver", [ns_lower_bound, seesaw_upper_bound], ids=["ns", "seesaw"])
 @pytest.mark.parametrize("case", sorted(INVALID_GAMES))
 def test_ns_and_seesaw_reject_invalid_games(solver, case):
-    game, message = INVALID_GAMES[case]
+    build, message = INVALID_GAMES[case]
     with pytest.raises(ValueError, match=message):
-        solver(game)
+        solver(build())
 
 
 def _loop_ns_program(game):

@@ -1,5 +1,6 @@
-"""Property tests: JSON round-trips, the classical value under capping, and
-the ns bound and the see-saw on games with zero-weight inputs.
+"""Property tests: the Game constructor's rule, JSON round-trips, the
+classical value under capping, and the ns bound and the see-saw on games
+with zero-weight inputs.
 
 Shapes stay small so that each example runs in milliseconds; the
 hypothesis profile in conftest.py makes the examples the same on every run.
@@ -11,6 +12,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -28,7 +30,6 @@ from ngcost import (
     seesaw_upper_bound,
     strategy_from_dict,
     strategy_to_dict,
-    validate_game,
     validate_strategy,
 )
 
@@ -68,9 +69,53 @@ def games(draw, max_size: int = 3, weight=st.floats(0.0, 1.0, width=64)) -> Game
     weights = draw(arrays(float, (n_s, n_t), elements=weight))
     assume(weights.sum() > 1e-3)
     cost = draw(arrays(float, (n_s, n_t, n_a, n_b), elements=COST))
-    game = Game(n_s, n_t, n_a, n_b, weights / weights.sum(), cost)
-    assume(validate_game(game) == [])
-    return game
+    return Game(n_s, n_t, n_a, n_b, weights / weights.sum(), cost)
+
+
+def _with_non_finite(draw, table: np.ndarray) -> np.ndarray:
+    # a few entries, often none, set to +inf, -inf or NaN
+    spots = st.tuples(st.integers(0, table.size - 1),
+                      st.sampled_from([math.inf, -math.inf, math.nan]))
+    for i, value in draw(st.lists(spots, max_size=2)):
+        table.flat[i] = value
+    return table
+
+
+@st.composite
+def game_arrays(draw) -> tuple[np.ndarray, np.ndarray]:
+    """An input distribution and a cost table of matching shapes, valid or not.
+
+    Costs are finite, +inf, -inf or NaN.  The distribution is a normalized
+    draw of nonnegative weights, one of them maybe negated, or raw entries
+    that may be negative or not finite.
+    """
+    n_s, n_t, n_a, n_b = (draw(SIZE) for _ in range(4))
+    cost = draw(arrays(float, (n_s, n_t, n_a, n_b),
+                       elements=st.one_of(st.floats(-10.0, 10.0, width=64), st.just(math.inf))))
+    if draw(st.booleans()):
+        weights = draw(arrays(float, (n_s, n_t), elements=st.floats(0.0, 1.0, width=64)))
+        for i in draw(st.lists(st.integers(0, weights.size - 1), max_size=1)):
+            weights.flat[i] *= -1.0
+        assume(weights.sum() > 0.1)
+        dist = weights / weights.sum()
+    else:
+        dist = _with_non_finite(draw, draw(arrays(float, (n_s, n_t), elements=UNIT)))
+    return dist, _with_non_finite(draw, cost)
+
+
+@given(game_arrays())
+def test_game_raises_exactly_on_invalid_arrays(case):
+    dist, cost = case
+    entries = dist.ravel().tolist()
+    bad_cost = any(math.isnan(c) or c == -math.inf for c in cost.ravel().tolist())
+    bad_probability = any(not math.isfinite(p) or p < 0 for p in entries)
+    invalid = bad_cost or bad_probability or abs(math.fsum(entries) - 1.0) > 1e-12
+    if invalid:
+        with pytest.raises(ValueError):
+            Game(*cost.shape, dist, cost)
+    else:
+        game = Game(*cost.shape, dist, cost)
+        assert game.cost.tobytes() == cost.tobytes()
 
 
 @given(quantum_strategies())

@@ -238,6 +238,17 @@ def test_strategy_json_round_trip(tmp_path):
             evaluate_quantum_strategy(make_chsh_game(), qs)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_save_strategy_refuses_non_finite_entries_and_writes_no_file(tmp_path, entry):
+    qs = chsh_optimal_strategy()
+    state = qs.state.copy()
+    state[1] = entry
+    path = tmp_path / "strategy.json"
+    with pytest.raises(ValueError):
+        save_strategy(QuantumStrategy(2, 2, state, qs.alice_povms, qs.bob_povms), str(path))
+    assert not path.exists()
+
+
 def test_strategy_from_dict_rejects_bad_documents():
     doc = strategy_to_dict(chsh_optimal_strategy())
     doc["surprise"] = 1

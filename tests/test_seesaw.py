@@ -257,13 +257,33 @@ def test_seesaw_on_zero_weight_infinities_equals_the_zeroed_game_bitwise():
 def test_optimal_state_and_update_alice_reject_nan_costs():
     cost = make_chsh_game().cost.copy()
     cost[0, 1, 1, 0] = math.nan
-    game = Game(2, 2, 2, 2, np.full((2, 2), 0.25), cost)
+    with pytest.raises(ValueError, match="invalid cost entry at \\(0,1,1,0\\): nan"):
+        Game(2, 2, 2, 2, np.full((2, 2), 0.25), cost)
+    # a raw weighted table can still hold the NaN; the steps refuse it
+    table = 0.25 * cost
     alice, bob = chsh_measurements()
     state = np.full(4, 0.5, dtype=complex)
     with pytest.raises(ValueError, match="finite"):
-        optimal_state(game, alice, bob)
+        optimal_state(table, alice, bob)
     with pytest.raises(ValueError, match="finite"):
-        update_alice(game, state, bob)
+        update_alice(table, state, bob)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (math.nan, "weighted cost table entries must be finite or \\+inf, got nan"),
+    (-math.inf, "weighted cost table entries must be finite or \\+inf, got -inf"),
+    (math.inf, "cap them first"),
+], ids=["nan", "minus-inf", "plus-inf"])
+def test_steps_refuse_every_non_finite_table_entry(entry, message):
+    table = 0.25 * make_chsh_game().cost
+    table[1, 0, 0, 1] = entry
+    alice, bob = chsh_measurements()
+    state = np.full(4, 0.5, dtype=complex)
+    for step in (lambda: game_operator(table, alice, bob),
+                 lambda: optimal_state(table, alice, bob),
+                 lambda: update_alice(table, state, bob)):
+        with pytest.raises(ValueError, match=message):
+            step()
 
 
 def _random_batch(rng, size, n, dim):
