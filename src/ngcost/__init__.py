@@ -42,7 +42,6 @@ from .quantum import (
     save_strategy,
     strategy_from_dict,
     strategy_to_dict,
-    validate_strategy,
 )
 from .seesaw import (
     SeesawConfig,
@@ -104,5 +103,4 @@ __all__ = [
     "strategy_to_dict",
     "update_alice",
     "update_bob",
-    "validate_strategy",
 ]

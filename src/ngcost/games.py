@@ -27,9 +27,10 @@ class Game:
 
     input_dist has shape (n_s, n_t) and cost has shape
     (n_s, n_t, n_a, n_b).  Arrays are copied, frozen and checked on
-    construction: bad sizes or shapes, a NaN or -inf cost, or an input
-    distribution that is negative, not finite or does not sum to 1 raise
-    ValueError with every diagnostic, joined by "; ".
+    construction, and sizes are stored as int: a size that is not a
+    positive integer (a bool or a float is not), a bad shape, a NaN or
+    -inf cost, or an input distribution that is negative, not finite or
+    does not sum to 1 raise ValueError with every diagnostic, joined by "; ".
     """
 
     n_s: int
@@ -158,13 +159,30 @@ def auto_cap(game: Game) -> float:
     return 2.0 * max_finite if max_finite > 0 else 1.0
 
 
+def _positive_int(value, name: str, zero: bool = False) -> int:
+    """value as an int: a Python or numpy integer of at least 1, or of at least 0 with zero.
+
+    A bool, a float or a smaller value raises ValueError naming name.
+    The one rule for every size, count and seed ngcost is given.
+    """
+    least, kind = (0, "non-negative") if zero else (1, "positive")
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def _problems(game: Game) -> list[str]:
-    """Human-readable diagnostics of a game's arrays; empty when they make a game."""
+    """Human-readable diagnostics of a game's arrays; empty when they make a game.
+
+    Sizes that pass are stored on the game as int.
+    """
     problems = []
-    for name, size in (("n_s", game.n_s), ("n_t", game.n_t),
-                       ("n_a", game.n_a), ("n_b", game.n_b)):
-        if not isinstance(size, int) or size < 1:
-            problems.append(f"alphabet size {name} must be a positive integer, got {size}")
+    for name in ("n_s", "n_t", "n_a", "n_b"):
+        try:
+            size = _positive_int(getattr(game, name), f"alphabet size {name}")
+            object.__setattr__(game, name, size)
+        except ValueError as exc:
+            problems.append(str(exc))
     if problems:
         return problems
 
@@ -253,11 +271,7 @@ def _check_document(data, kind: str, fields: set[str], sizes: tuple[str, ...]) -
         if missing:
             parts.append(f"missing fields {missing}")
         raise ValueError(f"invalid {kind} document: " + ", ".join(parts))
-    for name in sizes:
-        v = data[name]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v!r}")
-    return tuple(data[name] for name in sizes)
+    return tuple(_positive_int(data[name], name) for name in sizes)
 
 
 def _read_nested(raw, shape: tuple, leaf: tuple, where: str) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, _check_document, _read_nested, expected_cost
+from .games import Game, _check_document, _positive_int, _read_nested, expected_cost
 # kron is no longer used here; it stays importable from this module because
 # benchmarks/tracer.py wraps it by name.
 from .linalg import kron  # noqa: F401
@@ -50,7 +50,8 @@ class QuantumStrategy:
 
     alice_povms[s, a] is a dA x dA element of an (n_s, n_a, dA, dA) array,
     bob_povms[t, b] is dB x dB, and state is a vector of length dA*dB.
-    Arrays are copied and frozen; ragged or non-square POVMs raise ValueError.
+    Arrays are copied and frozen, and ragged or non-square POVMs raise ValueError;
+    so does any problem validate_strategy finds, with every diagnostic joined by "; ".
     """
 
     d_a: int
@@ -63,6 +64,11 @@ class QuantumStrategy:
         object.__setattr__(self, "state", _freeze(self.state))
         object.__setattr__(self, "alice_povms", _freeze_povms(self.alice_povms, "alice_povms"))
         object.__setattr__(self, "bob_povms", _freeze_povms(self.bob_povms, "bob_povms"))
+        problems = validate_strategy(self)  # looked up by name: benchmarks/tracer.py wraps it
+        if problems:
+            raise ValueError("; ".join(problems))
+        for name in ("d_a", "d_b"):  # numpy integers become int, as save_strategy needs
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def n_s(self) -> int:
@@ -82,12 +88,12 @@ class QuantumStrategy:
 
 
 def validate_strategy(strategy: QuantumStrategy) -> list[str]:
-    """Diagnostics for a strategy; empty list means valid."""
+    """Diagnostics for a strategy, run when one is built; empty list means valid."""
+    try:
+        d_a, d_b = _positive_int(strategy.d_a, "d_a"), _positive_int(strategy.d_b, "d_b")
+    except ValueError as exc:
+        return [str(exc)]
     problems = []
-    d_a, d_b = strategy.d_a, strategy.d_b
-    if d_a < 1 or d_b < 1:
-        problems.append(f"local dimensions must be positive, got ({d_a}, {d_b})")
-        return problems
 
     state = strategy.state
     if state.shape != (d_a * d_b,):
@@ -165,10 +171,7 @@ class Behavior:
 
 
 def behavior_of(strategy: QuantumStrategy) -> Behavior:
-    """Born-rule table p(a, b | s, t) = <psi| A^s_a x B^t_b |psi>."""
-    problems = validate_strategy(strategy)
-    if problems:
-        raise ValueError("; ".join(problems))
+    """Born-rule table p(a, b | s, t) = <psi| A^s_a x B^t_b |psi>; built strategies are valid."""
     psi = strategy.state.reshape(strategy.d_a, strategy.d_b)
     # right[t, b, k, j] = sum_l B^t_b[j, l] psi[k, l]
     right = np.einsum("tbjl,kl->tbkj", strategy.bob_povms, psi)
@@ -192,7 +195,7 @@ def _require_same_shape(game: Game, strategy: QuantumStrategy) -> None:
 
 
 def evaluate_quantum_strategy(game: Game, strategy: QuantumStrategy) -> float:
-    """Expected cost of the strategy's behavior under the game."""
+    """Expected cost of a (built, so valid) strategy; a shape unlike the game's raises."""
     _require_same_shape(game, strategy)
     return expected_cost(game, behavior_of(strategy).p)
 
@@ -292,17 +295,12 @@ def strategy_to_dict(strategy: QuantumStrategy) -> dict:
 
 def strategy_from_dict(data: dict) -> QuantumStrategy:
     d_a, d_b = _check_document(data, "strategy", _STRATEGY_FIELDS, ("d_a", "d_b"))
-
-    strategy = QuantumStrategy(
+    return QuantumStrategy(
         d_a, d_b,
         _read_nested(data["state"], (d_a * d_b,), _PAIR, "state"),
         _read_nested(data["alice_povms"], _ANY_POVMS, _PAIR, "alice_povms"),
         _read_nested(data["bob_povms"], _ANY_POVMS, _PAIR, "bob_povms"),
     )
-    problems = validate_strategy(strategy)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return strategy
 
 
 def save_strategy(strategy: QuantumStrategy, path: str) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import Game
+from .games import Game, _positive_int
 # kron and the partial traces are no longer used here; they stay importable
 # from this module because benchmarks/tracer.py wraps them by name.
 from .linalg import herm_eig, kron, partial_trace_a, partial_trace_b  # noqa: F401
@@ -25,7 +25,12 @@ NEGATIVE_EIG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SeesawConfig:
-    """Knobs for the restart loop; defaults suit 2x2x2x2 games."""
+    """Knobs for the restart loop; defaults suit 2x2x2x2 games.
+
+    d_a, d_b, restarts and max_iters must be positive integers and seed a
+    non-negative one (Python or numpy integers, stored as int; not bool or
+    float); tol must be positive.  Anything else raises ValueError.
+    """
 
     d_a: int = 2
     d_b: int = 2
@@ -35,12 +40,9 @@ class SeesawConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_a < 1 or self.d_b < 1:
-            raise ValueError(f"local dimensions must be positive, got ({self.d_a}, {self.d_b})")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        for name in ("d_a", "d_b", "restarts", "max_iters", "seed"):
+            value = _positive_int(getattr(self, name), name, zero=name == "seed")
+            object.__setattr__(self, name, value)
         if not (self.tol > 0):
             raise ValueError(f"tol must be positive, got {self.tol}")
 

@@ -18,9 +18,9 @@ from ngcost import (
     make_chsh_game,
     save_game,
     strategy_to_dict,
-    validate_strategy,
 )
 from ngcost.cli import main
+from ngcost.quantum import validate_strategy
 
 TSIRELSON_COST = (2.0 - math.sqrt(2.0)) / 4.0
 
@@ -427,6 +427,17 @@ def test_sweep_rejects_non_finite_step_counts(capsys, axis, steps):
                              "--w-range", *ranges["--w-range"])
     assert (code, out) == (2, "")
     assert err == f"error: {axis} step count must be a positive integer, got {steps}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["seesaw", "--builtin", "chsh"],
+    ["sweep", "--phi-range", "0", "0.8", "2", "--w-range", "1", "1", "1"],
+    ["hardy-cap-sweep", "--T", "1", "--caps", "2"],
+])
+def test_negative_seed_is_refused_by_name(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_sweep_identical_bytes_across_runs_and_threads(capsys, tmp_path):

@@ -200,8 +200,16 @@ def test_validate_game_reports_shape_mismatches():
 
 
 def test_validate_game_rejects_bad_sizes():
-    with pytest.raises(ValueError, match="alphabet size"):
-        Game(0, 2, 2, 2, np.full((2, 2), 0.25), np.zeros((2, 2, 2, 2)))
+    for size in (0, True, 2.0, np.float64(2.0), np.int64(0)):
+        with pytest.raises(ValueError) as info:
+            Game(size, 2, 2, 2, np.full((2, 2), 0.25), np.zeros((2, 2, 2, 2)))
+        assert str(info.value) == f"alphabet size n_s must be a positive integer, got {size!r}"
+
+
+def test_game_stores_numpy_integer_sizes_as_int():
+    g = Game(*np.full(4, 2), np.full((2, 2), 0.25), make_chsh_game().cost)
+    assert all(type(n) is int for n in (g.n_s, g.n_t, g.n_a, g.n_b))
+    assert game_to_dict(g) == game_to_dict(make_chsh_game())
 
 
 def test_expected_cost_zero_weight_skips_infinity():

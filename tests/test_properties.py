@@ -30,8 +30,8 @@ from ngcost import (
     seesaw_upper_bound,
     strategy_from_dict,
     strategy_to_dict,
-    validate_strategy,
 )
+from ngcost.quantum import validate_strategy
 
 UNIT = st.floats(-1.0, 1.0, width=64)
 SIZE = st.integers(1, 3)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,8 +21,8 @@ from ngcost import (
     save_strategy,
     strategy_from_dict,
     strategy_to_dict,
-    validate_strategy,
 )
+from ngcost.quantum import validate_strategy
 
 TSIRELSON_COST = (2.0 - math.sqrt(2.0)) / 4.0
 HARDY_P_MAX = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
@@ -169,39 +170,64 @@ def test_evaluate_rejects_shape_mismatch():
         evaluate_quantum_strategy(g, bad)
 
 
+def construction_error(*args) -> str:
+    """The message of the ValueError that QuantumStrategy(*args) raises."""
+    with pytest.raises(ValueError) as info:
+        QuantumStrategy(*args)
+    return str(info.value)
+
+
 def test_validate_strategy_reports_problems():
     qs = chsh_optimal_strategy()
-    scaled = QuantumStrategy(2, 2, qs.state * 0.9, qs.alice_povms, qs.bob_povms)
-    assert any("norm" in p for p in validate_strategy(scaled))
+    assert "norm" in construction_error(2, 2, qs.state * 0.9, qs.alice_povms, qs.bob_povms)
 
-    not_sum = QuantumStrategy(
-        2, 2, qs.state,
-        ((np.eye(2) * 0.5, np.eye(2) * 0.4), qs.alice_povms[1]),
-        qs.bob_povms,
-    )
-    assert any("sum to identity" in p for p in validate_strategy(not_sum))
+    not_sum = ((np.eye(2) * 0.5, np.eye(2) * 0.4), qs.alice_povms[1])
+    assert "sum to identity" in construction_error(2, 2, qs.state, not_sum, qs.bob_povms)
 
-    negative = QuantumStrategy(
-        2, 2, qs.state,
-        ((np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])), qs.alice_povms[1]),
-        qs.bob_povms,
-    )
-    assert any("negative eigenvalue" in p for p in validate_strategy(negative))
+    negative = ((np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])), qs.alice_povms[1])
+    assert "negative eigenvalue" in construction_error(2, 2, qs.state, negative, qs.bob_povms)
 
     skew = np.array([[0.5, 0.5], [-0.5, 0.5]])
-    lopsided = QuantumStrategy(
-        2, 2, qs.state,
-        ((skew, np.eye(2) - skew), qs.alice_povms[1]),
-        qs.bob_povms,
-    )
-    assert any("not Hermitian" in p for p in validate_strategy(lopsided))
+    lopsided = ((skew, np.eye(2) - skew), qs.alice_povms[1])
+    assert "not Hermitian" in construction_error(2, 2, qs.state, lopsided, qs.bob_povms)
+
+
+def test_povms_off_the_identity_raise_at_construction_as_in_load_strategy(tmp_path):
+    qs = chsh_optimal_strategy()
+    alice = np.array(qs.alice_povms)
+    alice[0, 1] *= 0.5
+    message = "alice measurement 0 does not sum to identity (deviation 0.5)"
+    assert construction_error(2, 2, qs.state, alice, qs.bob_povms) == message
+    doc = strategy_to_dict(qs)
+    doc["alice_povms"] = np.stack((alice.real, alice.imag), axis=-1).tolist()
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_strategy(str(path))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dim", [True, 2.0, np.float64(2.0), 0, np.int64(-1)])
+def test_strategy_refuses_dimensions_that_are_not_positive_integers(dim):
+    qs = chsh_optimal_strategy()
+    assert construction_error(dim, 2, qs.state, qs.alice_povms, qs.bob_povms) == \
+        f"d_a must be a positive integer, got {dim!r}"
+    assert construction_error(2, dim, qs.state, qs.alice_povms, qs.bob_povms) == \
+        f"d_b must be a positive integer, got {dim!r}"
+
+
+def test_strategy_stores_numpy_integer_dimensions_as_int():
+    qs = chsh_optimal_strategy()
+    built = QuantumStrategy(np.int64(2), np.int32(2), qs.state, qs.alice_povms, qs.bob_povms)
+    assert type(built.d_a) is int and type(built.d_b) is int
+    assert strategy_to_dict(built) == strategy_to_dict(qs)
 
 
 def test_behavior_of_raises_on_invalid_strategy():
+    # an invalid strategy cannot be built, so it never reaches behavior_of
     qs = chsh_optimal_strategy()
-    bad = QuantumStrategy(2, 2, qs.state * 2.0, qs.alice_povms, qs.bob_povms)
     with pytest.raises(ValueError, match="norm"):
-        behavior_of(bad)
+        behavior_of(QuantumStrategy(2, 2, qs.state * 2.0, qs.alice_povms, qs.bob_povms))
 
 
 def test_behavior_validation():
@@ -358,14 +384,14 @@ def test_behavior_of_matches_the_kron_loop(d_a, d_b):
         assert np.max(np.abs(behavior_of(qs).p - kron_loop_behavior(qs))) <= 1e-14
 
 
-def loop_validate_povms(qs):
+def loop_validate_povms(d_a, d_b, alice_povms, bob_povms):
     """validate_strategy's POVM checks one element at a time, one eigvalsh per element.
 
     The reference for the stacked checks: the same messages, grouped by kind
     per side in (measurement, element) order.
     """
     problems = []
-    for side, povms, dim in (("alice", qs.alice_povms, qs.d_a), ("bob", qs.bob_povms, qs.d_b)):
+    for side, povms, dim in (("alice", alice_povms, d_a), ("bob", bob_povms, d_b)):
         non_finite, not_hermitian, negative, off = [], [], [], []
         for x in range(povms.shape[0]):
             total = np.zeros((dim, dim), dtype=complex)
@@ -428,9 +454,12 @@ def test_stacked_validation_matches_the_element_loop():
                 alice = perturb(rng, alice)
             else:
                 bob = perturb(rng, bob)
-        qs = QuantumStrategy(int(d_a), int(d_b), state / np.linalg.norm(state), alice, bob)
-        expected = loop_validate_povms(qs)
-        assert validate_strategy(qs) == expected
+        args = (int(d_a), int(d_b), state / np.linalg.norm(state), alice, bob)
+        expected = loop_validate_povms(*args[:2], alice.astype(complex), bob.astype(complex))
+        if expected:
+            assert construction_error(*args) == "; ".join(expected)
+        else:
+            assert validate_strategy(QuantumStrategy(*args)) == []
         valid += not expected
         for problem in expected:
             seen[next(kind for kind in seen if kind in problem)] += 1
@@ -466,14 +495,14 @@ def test_strategy_povms_are_one_frozen_array_per_side():
 def test_validate_strategy_reports_wrong_element_size():
     qs = chsh_optimal_strategy()
     qutrit = np.array([[np.eye(3)]])
-    bad = QuantumStrategy(2, 2, qs.state, qs.alice_povms, qutrit)
-    assert validate_strategy(bad) == ["bob elements have shape (3, 3), expected (2, 2)"]
+    assert construction_error(2, 2, qs.state, qs.alice_povms, qutrit) == \
+        "bob elements have shape (3, 3), expected (2, 2)"
 
 
 def test_validate_strategy_reports_wrong_state_shape():
     qs = chsh_optimal_strategy()
-    short = QuantumStrategy(2, 2, qs.state[:3], qs.alice_povms, qs.bob_povms)
-    assert validate_strategy(short) == ["state has shape (3,), expected (4,)"]
+    assert construction_error(2, 2, qs.state[:3], qs.alice_povms, qs.bob_povms) == \
+        "state has shape (3,), expected (4,)"
 
 
 def test_validate_strategy_rejects_non_finite_entries():
@@ -481,17 +510,13 @@ def test_validate_strategy_rejects_non_finite_entries():
     for bad_value in (math.nan, math.inf):
         state = np.array(qs.state)
         state[1] = bad_value
-        bad = QuantumStrategy(2, 2, state, qs.alice_povms, qs.bob_povms)
-        assert validate_strategy(bad) == ["state has non-finite entries"]
-        with pytest.raises(ValueError, match="non-finite"):
-            behavior_of(bad)
+        assert construction_error(2, 2, state, qs.alice_povms, qs.bob_povms) == \
+            "state has non-finite entries"
 
     bob = np.array(qs.bob_povms)
     bob[1, 0, 0, 1] = complex(0.0, math.nan)
-    bad = QuantumStrategy(2, 2, qs.state, qs.alice_povms, bob)
-    assert validate_strategy(bad) == ["bob element (1,0) has non-finite entries"]
-    with pytest.raises(ValueError, match="non-finite"):
-        evaluate_quantum_strategy(make_chsh_game(), bad)
+    assert construction_error(2, 2, qs.state, qs.alice_povms, bob) == \
+        "bob element (1,0) has non-finite entries"
 
 
 @pytest.mark.parametrize("bad_value", [math.nan, math.inf, -math.inf])

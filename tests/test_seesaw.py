@@ -12,17 +12,19 @@ from ngcost import (
     classical_cost,
     evaluate_quantum_strategy,
     game_operator,
+    load_strategy,
     make_chsh_game,
     make_family_game,
     make_hardy_game,
     optimal_state,
+    save_strategy,
     seesaw_upper_bound,
     update_alice,
     update_bob,
-    validate_strategy,
 )
 from ngcost import seesaw
 from ngcost.linalg import kron, partial_trace_b
+from ngcost.quantum import validate_strategy
 
 from qubit_oracle import qubit_grid_minimum
 
@@ -502,6 +504,32 @@ def test_seesaw_rejects_bad_input():
         SeesawConfig(tol=0.0)
     with pytest.raises(ValueError):
         SeesawConfig(d_a=0)
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("d_a", True, "positive"), ("d_b", 2.0, "positive"), ("restarts", 2.5, "positive"),
+    ("max_iters", False, "positive"), ("restarts", 0, "positive"),
+    ("seed", 1.5, "non-negative"), ("seed", -1, "non-negative"), ("seed", True, "non-negative"),
+])
+def test_config_refuses_bools_floats_and_out_of_range_integers(field, value, kind):
+    with pytest.raises(ValueError) as info:
+        SeesawConfig(**{field: value})
+    assert str(info.value) == f"{field} must be a {kind} integer, got {value!r}"
+
+
+def test_numpy_integer_config_gives_a_strategy_that_saves_and_loads(tmp_path):
+    config = SeesawConfig(d_a=np.int64(2), d_b=np.int64(2), restarts=np.int64(3),
+                          max_iters=np.int32(200), seed=np.uint8(4))
+    assert config == SeesawConfig(d_a=2, d_b=2, restarts=3, max_iters=200, seed=4)
+    assert all(type(getattr(config, name)) is int
+               for name in ("d_a", "d_b", "restarts", "max_iters", "seed"))
+    best = seesaw_upper_bound(make_chsh_game(), config).best_strategy
+    path = tmp_path / "best.json"
+    save_strategy(best, str(path))
+    back = load_strategy(str(path))
+    assert (back.d_a, back.d_b) == (2, 2)
+    for part in ("state", "alice_povms", "bob_povms"):
+        assert np.array_equal(getattr(back, part), getattr(best, part))
 
 
 def test_seesaw_matches_qubit_oracle_on_capped_hardy():
