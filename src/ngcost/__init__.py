@@ -9,6 +9,7 @@ built-in G(phi, w) family that joins the CHSH and Hardy games.
 
 from .classical import DeterministicStrategy, classical_cost, strategy_cost
 from .games import (
+    Behavior,
     FamilyParams,
     Game,
     auto_cap,
@@ -22,15 +23,9 @@ from .games import (
     make_hardy_game,
     save_game,
 )
-from .linalg import herm_eig, kron, partial_trace_a, partial_trace_b
-from .nsbound import (
-    NonSignallingInfeasibleError,
-    behavior_cost,
-    is_nonsignalling,
-    ns_lower_bound,
-)
+from .linalg import herm_eig
+from .nsbound import NonSignallingInfeasibleError, is_nonsignalling, ns_lower_bound
 from .quantum import (
-    Behavior,
     QuantumStrategy,
     behavior_of,
     chsh_optimal_strategy,
@@ -69,7 +64,6 @@ __all__ = [
     "SeesawConfig",
     "SeesawReport",
     "auto_cap",
-    "behavior_cost",
     "behavior_of",
     "cap_infinities",
     "chsh_optimal_strategy",
@@ -82,7 +76,6 @@ __all__ = [
     "hardy_strategy",
     "herm_eig",
     "is_nonsignalling",
-    "kron",
     "load_game",
     "load_strategy",
     "make_chsh_game",
@@ -92,8 +85,6 @@ __all__ = [
     "observable_to_povm",
     "optimal_state",
     "optimize_hardy_theta",
-    "partial_trace_a",
-    "partial_trace_b",
     "save_game",
     "save_strategy",
     "seesaw_upper_bound",

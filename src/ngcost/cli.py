@@ -16,6 +16,7 @@ import numpy as np
 
 from .classical import classical_cost
 from .games import (
+    Behavior,
     FamilyParams,
     Game,
     auto_cap,
@@ -28,7 +29,6 @@ from .games import (
 )
 from .nsbound import NonSignallingInfeasibleError, ns_lower_bound
 from .quantum import (
-    Behavior,
     _require_same_shape,
     behavior_of,
     chsh_optimal_strategy,
@@ -169,7 +169,7 @@ def _cmd_quantum(args) -> int:
     strategy = _resolve_strategy(args.strategy)
     _require_same_shape(game, strategy)
     behavior = behavior_of(strategy)
-    value = expected_cost(game, behavior.p)
+    value = expected_cost(game, behavior)
     return _emit(args, {"cost": _jsonable(value), "behavior": behavior.p.tolist()},
                  [f"quantum strategy cost: {_fmt(value)}"], behavior)
 

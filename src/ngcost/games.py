@@ -1,9 +1,10 @@
 """Cost-table games over finite input/output alphabets.
 
 A game pairs an input distribution pi(s, t) with a cost table
-C(a, b | s, t).  Cost entries are floats where +inf marks a forbidden
-answer pair; building a Game with a NaN or -inf cost, or with an input
-distribution that is not a probability distribution, raises ValueError.
+C(a, b | s, t); expected_cost scores a Behavior p(a, b | s, t) on it.  Cost
+entries are floats where +inf marks a forbidden answer pair; building a
+Game with a NaN or -inf cost, or with an input distribution that is not a
+probability distribution, raises ValueError.
 Built-in constructors cover the CHSH game, the Hardy game with penalty
 T, and the two-parameter family G(phi, w) that contains both as endpoints.
 """
@@ -14,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -209,13 +211,45 @@ def _problems(game: Game) -> list[str]:
     return problems
 
 
-def expected_cost(game: Game, p: np.ndarray) -> float:
-    """Average cost of a probability table p(a, b | s, t) under the game.
+@dataclass(frozen=True, eq=False)
+class Behavior:
+    """Checked probability table p indexed by (s, t, a, b), copied and frozen.
+
+    Entries in [-1e-12, 0) are clamped to zero; anything more negative is
+    invalid, as are non-finite entries and a per-input row that does not
+    sum to 1 within 1e-9.  expected_cost scores nothing else.
+    """
+
+    p: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.p, dtype=float)
+        if arr.ndim != 4:
+            raise ValueError(f"behavior table must have 4 axes (s,t,a,b), got {arr.ndim}")
+        if not np.isfinite(arr).all():
+            raise ValueError("behavior has non-finite entries")
+        low = float(arr.min()) if arr.size else 0.0
+        if low < -1e-12:
+            raise ValueError(f"behavior has negative probability {low!r}")
+        np.clip(arr, 0.0, None, out=arr)
+        sums = arr.sum(axis=(2, 3))
+        worst = float(np.max(np.abs(sums - 1.0)))
+        if worst > 1e-9:
+            raise ValueError(f"behavior rows must sum to 1 (largest deviation {worst!r})")
+        arr.flags.writeable = False
+        object.__setattr__(self, "p", arr)
+
+
+def expected_cost(game: Game, behavior: Behavior) -> float:
+    """Average cost of a behavior p(a, b | s, t) under the game.
 
     Infinite cost entries contribute 0 when their input weight is zero or
     their probability is at most 1e-12, and make the total +inf otherwise.
+    A raw array raises TypeError, and a table of another shape ValueError.
     """
-    p = np.asarray(p, dtype=float)
+    if not isinstance(behavior, Behavior):
+        raise TypeError(f"expected_cost scores a Behavior, got {type(behavior).__name__}")
+    p = behavior.p
     if p.shape != game.cost.shape:
         raise ValueError(f"probability table has shape {p.shape}, expected {game.cost.shape}")
     weights = game._weights
@@ -317,12 +351,18 @@ def game_from_dict(data: dict) -> Game:
     return Game(*shape, dist, cost)
 
 
+def _write_json(path: str, doc: dict) -> None:
+    """Write doc as indented JSON; a NaN or inf entry raises ValueError and writes no file."""
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+
+
+def _read_json(path: str):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
 def save_game(game: Game, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(game), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, game_to_dict(game))
 
 
 def load_game(path: str) -> Game:
-    with open(path, "r", encoding="utf-8") as fh:
-        return game_from_dict(json.load(fh))
+    return game_from_dict(_read_json(path))

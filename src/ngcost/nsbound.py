@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .games import Game, expected_cost
-from .quantum import Behavior
+from .games import Behavior, Game
 from .simplex import LinearProgram, LpInfeasibleError, solve
 
 MARGINAL_TOL = 1e-9
@@ -23,21 +22,16 @@ class NonSignallingInfeasibleError(Exception):
     """The forced-zero pattern admits no non-signalling behavior."""
 
 
-def is_nonsignalling(behavior: Behavior, tol: float = MARGINAL_TOL) -> bool:
-    """True when each party's marginals ignore the other party's input."""
+def is_nonsignalling(behavior: Behavior) -> bool:
+    """True when each party's marginals ignore the other party's input within MARGINAL_TOL."""
     p = behavior.p
     alice = p.sum(axis=3)  # (s, t, a)
-    if float(np.max(alice.max(axis=1) - alice.min(axis=1))) > tol:
+    if float(np.max(alice.max(axis=1) - alice.min(axis=1))) > MARGINAL_TOL:
         return False
     bob = p.sum(axis=2)  # (s, t, b)
-    if float(np.max(bob.max(axis=0) - bob.min(axis=0))) > tol:
+    if float(np.max(bob.max(axis=0) - bob.min(axis=0))) > MARGINAL_TOL:
         return False
     return True
-
-
-def behavior_cost(game: Game, behavior: Behavior) -> float:
-    """Expected cost of a behavior; +inf when weighted mass sits on an inf entry."""
-    return expected_cost(game, behavior.p)
 
 
 def ns_lower_bound(game: Game) -> tuple[float, Behavior]:

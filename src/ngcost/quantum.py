@@ -8,13 +8,13 @@ the game costs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, _check_document, _positive_int, _read_nested, expected_cost
+from .games import (Behavior, Game, _check_document, _positive_int, _read_json, _read_nested,
+                    _write_json, expected_cost)
 # kron is no longer used here; it stays importable from this module because
 # benchmarks/tracer.py wraps it by name.
 from .linalg import kron  # noqa: F401
@@ -141,35 +141,6 @@ def validate_strategy(strategy: QuantumStrategy) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True, eq=False)
-class Behavior:
-    """Probability table p indexed by (s, t, a, b).
-
-    Entries in [-1e-12, 0) are clamped to zero; anything more negative is
-    invalid, as are non-finite entries and a per-input row that does not
-    sum to 1 within 1e-9.
-    """
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.p, dtype=float)
-        if arr.ndim != 4:
-            raise ValueError(f"behavior table must have 4 axes (s,t,a,b), got {arr.ndim}")
-        if not np.isfinite(arr).all():
-            raise ValueError("behavior has non-finite entries")
-        low = float(arr.min()) if arr.size else 0.0
-        if low < -1e-12:
-            raise ValueError(f"behavior has negative probability {low!r}")
-        np.clip(arr, 0.0, None, out=arr)
-        sums = arr.sum(axis=(2, 3))
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > 1e-9:
-            raise ValueError(f"behavior rows must sum to 1 (largest deviation {worst!r})")
-        arr.flags.writeable = False
-        object.__setattr__(self, "p", arr)
-
-
 def behavior_of(strategy: QuantumStrategy) -> Behavior:
     """Born-rule table p(a, b | s, t) = <psi| A^s_a x B^t_b |psi>; built strategies are valid."""
     psi = strategy.state.reshape(strategy.d_a, strategy.d_b)
@@ -197,7 +168,7 @@ def _require_same_shape(game: Game, strategy: QuantumStrategy) -> None:
 def evaluate_quantum_strategy(game: Game, strategy: QuantumStrategy) -> float:
     """Expected cost of a (built, so valid) strategy; a shape unlike the game's raises."""
     _require_same_shape(game, strategy)
-    return expected_cost(game, behavior_of(strategy).p)
+    return expected_cost(game, behavior_of(strategy))
 
 
 def observable_to_povm(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,11 +276,8 @@ def strategy_from_dict(data: dict) -> QuantumStrategy:
 
 def save_strategy(strategy: QuantumStrategy, path: str) -> None:
     """Write strategy_to_dict as JSON; a NaN or inf entry raises ValueError and writes no file."""
-    text = json.dumps(strategy_to_dict(strategy), indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_json(path, strategy_to_dict(strategy))
 
 
 def load_strategy(path: str) -> QuantumStrategy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return strategy_from_dict(json.load(fh))
+    return strategy_from_dict(_read_json(path))

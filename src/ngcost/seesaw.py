@@ -9,6 +9,7 @@ and the final value is a valid quantum upper bound.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -29,7 +30,8 @@ class SeesawConfig:
 
     d_a, d_b, restarts and max_iters must be positive integers and seed a
     non-negative one (Python or numpy integers, stored as int; not bool or
-    float); tol must be positive.  Anything else raises ValueError.
+    float); tol must be a finite positive real, not bool, stored as float.
+    Anything else raises ValueError.
     """
 
     d_a: int = 2
@@ -43,8 +45,10 @@ class SeesawConfig:
         for name in ("d_a", "d_b", "restarts", "max_iters", "seed"):
             value = _positive_int(getattr(self, name), name, zero=name == "seed")
             object.__setattr__(self, name, value)
-        if not (self.tol > 0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        tol = self.tol
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
+            raise ValueError(f"tol must be a finite positive real, got {tol!r}")
+        object.__setattr__(self, "tol", float(tol))
 
 
 @dataclass(frozen=True)

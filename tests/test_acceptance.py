@@ -15,12 +15,12 @@ from ngcost import (
     Game,
     SeesawConfig,
     auto_cap,
-    behavior_cost,
     behavior_of,
     cap_infinities,
     chsh_optimal_strategy,
     classical_cost,
     evaluate_quantum_strategy,
+    expected_cost,
     hardy_strategy,
     herm_eig,
     is_nonsignalling,
@@ -29,11 +29,10 @@ from ngcost import (
     make_hardy_game,
     ns_lower_bound,
     optimize_hardy_theta,
-    partial_trace_a,
-    partial_trace_b,
     seesaw_upper_bound,
 )
 from ngcost.cli import main
+from ngcost.linalg import partial_trace_a, partial_trace_b
 from ngcost.quantum import Behavior
 
 from qubit_oracle import qubit_grid_minimum
@@ -128,7 +127,7 @@ def test_criterion_08_ns_values():
                 for b in range(2):
                     if (a ^ b) == s * t:
                         pr[s, t, a, b] = 0.5
-    assert behavior_cost(make_chsh_game(), Behavior(pr)) == 0.0
+    assert expected_cost(make_chsh_game(), Behavior(pr)) == 0.0
 
     hardy = make_hardy_game(1.0)
     hardy_value, hardy_witness = ns_lower_bound(hardy)
@@ -141,7 +140,7 @@ def test_criterion_08_ns_values():
     half[1, 1, 0, 1] = half[1, 1, 1, 0] = 0.5
     explicit = Behavior(half)
     assert is_nonsignalling(explicit)
-    assert behavior_cost(hardy, explicit) == 0.125
+    assert expected_cost(hardy, explicit) == 0.125
     report(8, f"ns CHSH {chsh_value!r}, ns hardy {hardy_value!r} with feasible cross-checks")
 
 

@@ -486,6 +486,22 @@ def test_hardy_cap_sweep(capsys, tmp_path):
         assert float(cells[3]) <= 0.25 + 1e-6
 
 
+@pytest.mark.parametrize("argv, first", [
+    (["seesaw", "--builtin", "family", "--phi", "0.5", "--w", "1e-8"], "see-saw upper bound: "),
+    (["seesaw", "--builtin", "hardy", "--cap", "3e6", "--max-iters", "100"], "see-saw upper bound: "),
+    (["hardy-cap-sweep", "--T", "1", "--caps", "2,1e9"], "T,cap,classical,seesaw,ns"),
+])
+def test_seesaw_commands_run_on_large_costs(capsys, argv, first):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(first)
+
+
+def test_seesaw_refuses_an_infinite_tol(capsys):
+    code, out, err = run_cli(capsys, "seesaw", "--builtin", "chsh", "--tol", "inf")
+    assert (code, out, err) == (2, "", "error: tol must be a finite positive real, got inf\n")
+
+
 def test_hardy_cap_sweep_rejects_small_caps(capsys):
     code, _, err = run_cli(capsys, "hardy-cap-sweep", "--T", "1", "--caps", "0.9,10")
     assert code == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ngcost import (
+    Behavior,
     FamilyParams,
     Game,
     auto_cap,
@@ -219,26 +220,51 @@ def test_expected_cost_zero_weight_skips_infinity():
     lopsided = Game(2, 2, 2, 2, dist, g.cost)
     p = np.zeros((2, 2, 2, 2))
     p[:, :, 0, 0] = 1.0  # puts mass on the (1,1)-block inf, but that input has weight 0
-    assert expected_cost(lopsided, p) == 0.0
+    assert expected_cost(lopsided, Behavior(p)) == 0.0
 
 
 def test_expected_cost_infinity_threshold():
     g = make_hardy_game(1.0)
     p = np.full((2, 2, 2, 2), 0.25)
-    assert expected_cost(g, p) == INF
+    assert expected_cost(g, Behavior(p)) == INF
     # mass at most 1e-12 on a forbidden entry counts as zero
     q = np.zeros((2, 2, 2, 2))
     q[:, :, 1, 1] = 1.0
     q[1, 1, 0, 0] = 1e-13
-    assert expected_cost(g, q) == 0.25  # block (0,0) answer (1,1) costs T
+    assert expected_cost(g, Behavior(q)) == 0.25  # block (0,0) answer (1,1) costs T
     q2 = q.copy()
     q2[1, 1, 0, 0] = 1e-9
-    assert expected_cost(g, q2) == INF
+    q2[1, 1, 1, 1] = 1.0 - 1e-9  # the row still sums to 1
+    assert expected_cost(g, Behavior(q2)) == INF
 
 
 def test_expected_cost_shape_check():
     with pytest.raises(ValueError):
-        expected_cost(make_chsh_game(), np.zeros((2, 2, 2)))
+        expected_cost(make_chsh_game(), Behavior(np.full((2, 2, 3, 3), 1.0 / 9.0)))
+
+
+@pytest.mark.parametrize("table, message", [
+    (np.full((2, 2, 2, 2), np.nan), "behavior has non-finite entries"),
+    (np.full((2, 2, 2, 2), -0.25), "behavior has negative probability -0.25"),
+    (np.zeros((2, 2, 2, 2)), "behavior rows must sum to 1"),
+])
+def test_invalid_tables_are_refused_on_the_way_to_expected_cost(table, message):
+    # unchecked, these tables would score nan, -0.5 (below the non-signalling
+    # bound 0.0) and 0.0
+    g = make_chsh_game()
+    with pytest.raises(TypeError, match="expected_cost scores a Behavior, got ndarray"):
+        expected_cost(g, table)
+    with pytest.raises(ValueError, match=message):
+        expected_cost(g, Behavior(table))
+
+
+def test_behavior_lives_in_games_and_quantum_and_nsbound_share_it():
+    import ngcost
+    import ngcost.nsbound
+    import ngcost.quantum
+
+    assert Behavior.__module__ == "ngcost.games"
+    assert ngcost.Behavior is ngcost.quantum.Behavior is ngcost.nsbound.Behavior is Behavior
 
 
 def test_game_json_round_trip_exact(tmp_path):
@@ -250,6 +276,18 @@ def test_game_json_round_trip_exact(tmp_path):
         assert np.array_equal(back.cost, g.cost)
         assert np.array_equal(back.input_dist, g.input_dist)
         assert (back.n_s, back.n_t, back.n_a, back.n_b) == (g.n_s, g.n_t, g.n_a, g.n_b)
+
+
+def test_both_file_formats_are_indented_json_with_a_trailing_newline(tmp_path):
+    from ngcost import chsh_optimal_strategy, save_strategy, strategy_to_dict
+
+    game, strategy = make_hardy_game(1.0), chsh_optimal_strategy()
+    save_game(game, str(tmp_path / "game.json"))
+    save_strategy(strategy, str(tmp_path / "strategy.json"))
+    assert (tmp_path / "game.json").read_text() == \
+        json.dumps(game_to_dict(game), indent=2) + "\n"
+    assert (tmp_path / "strategy.json").read_text() == \
+        json.dumps(strategy_to_dict(strategy), indent=2) + "\n"
 
 
 def test_game_json_infinities_written_as_strings(tmp_path):

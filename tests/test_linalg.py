@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ngcost import herm_eig, kron, partial_trace_a, partial_trace_b
+from ngcost import herm_eig
+from ngcost.linalg import kron, partial_trace_a, partial_trace_b
 
 
 def random_hermitian(rng, dim):
@@ -134,3 +135,22 @@ def test_partial_trace_rejects_bad_dims():
         partial_trace_b(np.eye(4), 2, 3)
     with pytest.raises(ValueError):
         partial_trace_a(np.eye(5), 2, 2)
+
+
+def test_herm_eig_scales_the_hermitian_check_with_the_largest_entry():
+    rng = np.random.default_rng(11)
+    H = 1e8 * random_hermitian(rng, 4)
+    H[0, 1] += 1e-9  # the rounding asymmetry of an operator built from 1e8 costs
+    w, v = herm_eig(H)
+    assert np.max(np.abs(H @ v - v @ np.diag(w))) <= 1e-10 * 1e8
+    # a small member of a large-scale stack is checked against the stack's scale,
+    # as the see-saw's cancelling best-response operators need
+    small = np.array([[7e-9, 5e-9], [5e-9 + 4e-10, 2e-9]])
+    w, _ = herm_eig(np.array([small, 1e7 * np.eye(2)]))
+    assert np.array_equal(w[1], [1e7, 1e7])
+    skewed = H.copy()
+    skewed[3, 0] += 1e2  # about 1e-6 of the largest entry
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), 1e8 * np.array([[0.0, 1.0], [0.0, 0.0]]),
+                skewed):
+        with pytest.raises(ValueError, match="not Hermitian within 1e-10 of its largest entry"):
+            herm_eig(bad)

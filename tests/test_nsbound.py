@@ -10,11 +10,11 @@ from ngcost import (
     FamilyParams,
     Game,
     NonSignallingInfeasibleError,
-    behavior_cost,
     behavior_of,
     chsh_optimal_strategy,
     classical_cost,
     evaluate_quantum_strategy,
+    expected_cost,
     hardy_strategy,
     is_nonsignalling,
     make_chsh_game,
@@ -52,13 +52,13 @@ def hardy_half_half(T=1.0):
 def test_pr_box_is_nonsignalling_and_free_on_chsh():
     box = pr_box()
     assert is_nonsignalling(box)
-    assert behavior_cost(make_chsh_game(), box) == 0.0
+    assert expected_cost(make_chsh_game(), box) == 0.0
 
 
 def test_uniform_behavior_cost_on_chsh():
     uniform = Behavior(np.full((2, 2, 2, 2), 0.25))
     # each block holds two unit-cost entries at probability 1/4, weight 1/4
-    assert behavior_cost(make_chsh_game(), uniform) == 0.5
+    assert expected_cost(make_chsh_game(), uniform) == 0.5
 
 
 def test_signalling_behavior_is_detected():
@@ -77,12 +77,12 @@ def test_quantum_behaviors_are_nonsignalling():
 
 def test_pr_box_is_the_optimal_hardy_behavior():
     # the PR box avoids all three forbidden entries and pays T/8 on block (0,0)
-    assert behavior_cost(make_hardy_game(1.0), pr_box()) == 0.125
+    assert expected_cost(make_hardy_game(1.0), pr_box()) == 0.125
 
 
 def test_behavior_cost_infinite_on_forbidden_mass():
     uniform = Behavior(np.full((2, 2, 2, 2), 0.25))
-    assert behavior_cost(make_hardy_game(1.0), uniform) == INF
+    assert expected_cost(make_hardy_game(1.0), uniform) == INF
 
 
 def test_ns_chsh_is_zero():
@@ -90,7 +90,7 @@ def test_ns_chsh_is_zero():
     assert abs(value) <= 1e-9
     assert value >= -1e-12
     assert is_nonsignalling(witness)
-    assert abs(behavior_cost(make_chsh_game(), witness) - value) <= 1e-9
+    assert abs(expected_cost(make_chsh_game(), witness) - value) <= 1e-9
 
 
 def test_ns_hardy_is_penalty_over_eight():
@@ -98,7 +98,7 @@ def test_ns_hardy_is_penalty_over_eight():
     value, witness = ns_lower_bound(game)
     assert abs(value - 0.125) <= 1e-9
     assert is_nonsignalling(witness)
-    assert abs(behavior_cost(game, witness) - value) <= 1e-9
+    assert abs(expected_cost(game, witness) - value) <= 1e-9
     # forced zeros are exact, not merely small
     assert witness.p[0, 1, 0, 1] == 0.0
     assert witness.p[1, 0, 1, 0] == 0.0
@@ -107,7 +107,7 @@ def test_ns_hardy_is_penalty_over_eight():
     # the explicit half-half behavior is feasible and optimal
     explicit = hardy_half_half()
     assert is_nonsignalling(explicit)
-    assert behavior_cost(game, explicit) == 0.125
+    assert expected_cost(game, explicit) == 0.125
 
     value2, _ = ns_lower_bound(make_hardy_game(2.0))
     assert abs(value2 - 0.25) <= 1e-9

@@ -517,6 +517,33 @@ def test_config_refuses_bools_floats_and_out_of_range_integers(field, value, kin
     assert str(info.value) == f"{field} must be a {kind} integer, got {value!r}"
 
 
+@pytest.mark.parametrize("value", [True, math.inf, math.nan, 0, -1, "1e-9"])
+def test_config_refuses_a_tol_that_is_not_a_finite_positive_real(value):
+    with pytest.raises(ValueError) as info:
+        SeesawConfig(tol=value)
+    assert str(info.value) == f"tol must be a finite positive real, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [1, np.float64(1e-9), np.int64(1)])
+def test_config_stores_tol_as_float(value):
+    tol = SeesawConfig(tol=value).tol
+    assert type(tol) is float and tol == float(value)
+
+
+@pytest.mark.parametrize("game, classical", [
+    (make_family_game(FamilyParams(0.5, 1e-8)), 0.11985638715105075),  # near the Hardy endpoint
+    (cap_infinities(make_hardy_game(1.0), 3e6), 0.25),
+    (cap_infinities(make_hardy_game(1.0), 1e9), 0.25),
+])
+def test_seesaw_runs_on_games_with_large_costs(game, classical):
+    # the rounding asymmetry of the best-response operators grows with the
+    # cost scale, so herm_eig's Hermitian check must grow with it
+    report = seesaw_upper_bound(game, SeesawConfig(restarts=3, max_iters=100, seed=1))
+    assert report.best_cost <= classical + 1e-6
+    replay = evaluate_quantum_strategy(game, report.best_strategy)
+    assert abs(replay - report.best_cost) <= 1e-6
+
+
 def test_numpy_integer_config_gives_a_strategy_that_saves_and_loads(tmp_path):
     config = SeesawConfig(d_a=np.int64(2), d_b=np.int64(2), restarts=np.int64(3),
                           max_iters=np.int32(200), seed=np.uint8(4))
