@@ -216,8 +216,8 @@ class Behavior:
     """Checked probability table p indexed by (s, t, a, b), copied and frozen.
 
     Entries in [-1e-12, 0) are clamped to zero; anything more negative is
-    invalid, as are non-finite entries and a per-input row that does not
-    sum to 1 within 1e-9.  expected_cost scores nothing else.
+    invalid, as are an empty axis, non-finite entries and a per-input row
+    that does not sum to 1 within 1e-9.  expected_cost scores nothing else.
     """
 
     p: np.ndarray
@@ -226,9 +226,11 @@ class Behavior:
         arr = np.array(self.p, dtype=float)
         if arr.ndim != 4:
             raise ValueError(f"behavior table must have 4 axes (s,t,a,b), got {arr.ndim}")
+        if arr.size == 0:
+            raise ValueError(f"behavior table has an empty axis, shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("behavior has non-finite entries")
-        low = float(arr.min()) if arr.size else 0.0
+        low = float(arr.min())
         if low < -1e-12:
             raise ValueError(f"behavior has negative probability {low!r}")
         np.clip(arr, 0.0, None, out=arr)

@@ -125,19 +125,24 @@ def validate_strategy(strategy: QuantumStrategy) -> list[str]:
             deviation = np.max(np.abs(checked.sum(axis=1) - np.eye(dim)), axis=(1, 2))
         # halving first keeps huge finite entries from overflowing
         lowest = np.linalg.eigvalsh(checked / 2.0 + adjoint / 2.0)[..., 0]
-        for x, k in zip(*np.nonzero(~finite)):
-            problems.append(f"{side} element ({x},{k}) has non-finite entries")
-        for x, k in zip(*np.nonzero(~hermitian)):
-            problems.append(f"{side} element ({x},{k}) is not Hermitian within 1e-10")
-        for x, k in zip(*np.nonzero(hermitian & (lowest < -PSD_TOL))):
-            problems.append(
-                f"{side} element ({x},{k}) has negative eigenvalue {float(lowest[x, k])!r}"
-            )
-        for x in np.flatnonzero(finite.all(axis=1) & (deviation > SUM_TOL)):
-            problems.append(
-                f"{side} measurement {x} does not sum to identity "
-                f"(deviation {float(deviation[x])!r})"
-            )
+        # each message loop runs only when its test found a failure
+        if not finite.all():
+            for x, k in zip(*np.nonzero(~finite)):
+                problems.append(f"{side} element ({x},{k}) has non-finite entries")
+        if not hermitian.all():
+            for x, k in zip(*np.nonzero(~hermitian)):
+                problems.append(f"{side} element ({x},{k}) is not Hermitian within 1e-10")
+        if (lowest < -PSD_TOL).any():
+            for x, k in zip(*np.nonzero(hermitian & (lowest < -PSD_TOL))):
+                problems.append(
+                    f"{side} element ({x},{k}) has negative eigenvalue {float(lowest[x, k])!r}"
+                )
+        if (deviation > SUM_TOL).any():
+            for x in np.flatnonzero(finite.all(axis=1) & (deviation > SUM_TOL)):
+                problems.append(
+                    f"{side} measurement {x} does not sum to identity "
+                    f"(deviation {float(deviation[x])!r})"
+                )
     return problems
 
 

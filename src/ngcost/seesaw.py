@@ -3,12 +3,20 @@
 Each round alternates three exact subproblems: best binary POVMs for
 Alice given the state and Bob, best for Bob given the state and Alice,
 then the minimum-eigenvalue state of the resulting game operator.  Every
-step solves its subproblem exactly, so the cost trace never increases
-and the final value is a valid quantum upper bound.
+step solves its subproblem exactly, so in exact arithmetic the cost trace
+never increases, and the final value is a valid quantum upper bound.  In
+floating point a step can rise by rounding alone, by at most about
+2e-15 times the game's largest weighted cost max|pi C|.
+
+Each game's weighted cost table is divided by a power of two that brings
+its largest entry into [0.5, 1) before the see-saw runs on it, which is
+exact: herm_eig's absolute Hermitian check and NEGATIVE_EIG_TOL then act
+at that unit scale, whatever the game's costs.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -21,6 +29,7 @@ from .games import Game, _positive_int
 from .linalg import herm_eig, kron, partial_trace_a, partial_trace_b  # noqa: F401
 from .quantum import QuantumStrategy
 
+# applies at unit scale, that is relative to a game's largest weighted cost
 NEGATIVE_EIG_TOL = 1e-12
 
 
@@ -70,11 +79,25 @@ class SeesawReport:
 _STACK_ENTRIES = 128
 
 
-def _weights_of(game: Game | np.ndarray) -> np.ndarray:
-    """game._weights, or a weighted cost table as a float array.
+def _unit_scale(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each table of a stack divided by 2**k, with k = frexp(max|entry|)[1].
 
-    Raises ValueError when a table has fewer than 4 axes or an entry that
-    is not finite; +inf, an infinite cost of positive weight, asks for a cap.
+    Returns the tables, each with its largest |entry| in [0.5, 1), and the
+    exponents k, of shape weights.shape[:-4]; an all-zero table keeps
+    k = 0.  Dividing by a power of two changes only exponents: it is exact.
+    """
+    largest = np.abs(weights).max(axis=(-4, -3, -2, -1), keepdims=True)
+    k = np.frexp(largest)[1]
+    return np.ldexp(weights, -k), k.reshape(weights.shape[:-4])
+
+
+def _weights_of(game: Game | np.ndarray) -> tuple[np.ndarray, int]:
+    """A Game's weighted cost table at unit scale, or a stacked table as given.
+
+    Returns (table, k): game._weights divided by 2**k (see _unit_scale),
+    or a weighted cost table as a float array with k = 0.  Raises
+    ValueError when a table has fewer than 4 axes or an entry that is not
+    finite; +inf, an infinite cost of positive weight, asks for a cap.
     """
     weights = game._weights if isinstance(game, Game) else np.asarray(game, dtype=float)
     if weights.ndim < 4:
@@ -86,7 +109,10 @@ def _weights_of(game: Game | np.ndarray) -> np.ndarray:
         if bad.size:
             raise ValueError(f"weighted cost table entries must be finite or +inf, got {bad[0]}")
         raise ValueError("game has infinite costs; cap them first (cap_infinities, or --cap)")
-    return weights
+    if isinstance(game, Game):
+        weights, k = _unit_scale(weights)
+        return weights, int(k)
+    return weights, 0
 
 
 def _povm_stack(povms, n_inputs: int, n_outcomes: int, who: str) -> np.ndarray:
@@ -112,9 +138,11 @@ def game_operator(game: Game | np.ndarray, alice_povms, bob_povms) -> np.ndarray
     (..., n, outcomes, d, d) with equal leading batch axes give a stack
     of operators of shape (..., dA*dB, dA*dB).  game is one Game, shared
     by every batch entry, or a weighted cost table pi(s,t) C(a,b|s,t) of
-    shape (..., n_s, n_t, n_a, n_b), one table per batch entry.
+    shape (..., n_s, n_t, n_a, n_b), one table per batch entry, used at
+    the scale it is given.  A Game's table is brought to unit scale and
+    its operator multiplied back, which is exact.
     """
-    weights = _weights_of(game)
+    weights, k = _weights_of(game)
     n_s, n_t, n_a, n_b = weights.shape[-4:]
     A = _povm_stack(alice_povms, n_s, n_a, "alice")
     B = _povm_stack(bob_povms, n_t, n_b, "bob")
@@ -124,6 +152,9 @@ def game_operator(game: Game | np.ndarray, alice_povms, bob_povms) -> np.ndarray
     d_a, d_b = A.shape[-1], B.shape[-1]
     bob_side = np.einsum("...stab,...tbkl->...sakl", weights, B)
     G = np.einsum("...saij,...sakl->...ikjl", A, bob_side)
+    if k:
+        # ldexp on the real and imaginary parts keeps even the signs of zeros
+        G = np.ldexp(G.view(float), k).view(complex)
     return G.reshape(A.shape[:-4] + (d_a * d_b, d_a * d_b))
 
 
@@ -132,11 +163,15 @@ def optimal_state(game: Game | np.ndarray, alice_povms,
     """Minimum-eigenvalue state of the game operator and its cost.
 
     With batch axes the states have shape (..., dA*dB) and the costs
-    come back as an array of shape (...).  game is as in game_operator.
+    come back as an array of shape (...).  game is as in game_operator:
+    the eigensolve runs on a Game's table at unit scale, and the cost is
+    multiplied back.
     """
-    w, v = herm_eig(game_operator(game, alice_povms, bob_povms))
-    cost = w[..., 0]
-    return v[..., :, 0].copy(), (cost.copy() if cost.ndim else float(cost))
+    # a stacked table goes to game_operator as given, checked there once
+    weights, k = _weights_of(game) if isinstance(game, Game) else (game, 0)
+    w, v = herm_eig(game_operator(weights, alice_povms, bob_povms))
+    cost = np.ldexp(w[..., 0], k) if k else w[..., 0].copy()
+    return v[..., :, 0].copy(), (cost if cost.ndim else float(cost))
 
 
 def _best_response(weights: np.ndarray, psi: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -174,9 +209,10 @@ def update_alice(game: Game | np.ndarray, state: np.ndarray, bob_povms) -> np.nd
     Returns an array of shape (..., n_s, 2, dA, dA) holding the projectors
     for outcomes 0 and 1 of every input; a state of shape (..., dA*dB) and
     Bob POVMs of shape (..., n_t, 2, dB, dB) update every batch entry.
-    game is as in game_operator.
+    game is as in game_operator; a Game's table is brought to unit scale,
+    so NEGATIVE_EIG_TOL is relative to its largest weighted cost.
     """
-    weights = _weights_of(game)
+    weights, _ = _weights_of(game)
     n_s, n_t, n_a, n_b = weights.shape[-4:]
     if n_a != 2:
         raise ValueError(f"measurement update needs n_a = 2, got {n_a}")
@@ -194,7 +230,7 @@ def update_bob(game: Game | np.ndarray, state: np.ndarray, alice_povms) -> np.nd
     conventions of update_alice.  It is Alice's update on the game with
     the parties swapped.
     """
-    weights = _weights_of(game)
+    weights, _ = _weights_of(game)
     n_s, n_t, n_a, n_b = weights.shape[-4:]
     if n_b != 2:
         raise ValueError(f"measurement update needs n_b = 2, got {n_b}")
@@ -227,15 +263,19 @@ def _random_start(config: SeesawConfig, n_s: int, n_t: int, restart: int):
     return state, alice, bob
 
 
-def _run_stack(tables: np.ndarray, config: SeesawConfig, starts) -> list[SeesawReport]:
-    """Every (game, restart) entry of a stack of weighted cost tables advanced together.
+def _run_stack(tables: np.ndarray, exponents: np.ndarray, config: SeesawConfig,
+               starts) -> list[SeesawReport]:
+    """Every (game, restart) entry of a stack of unit-scale tables advanced together.
 
     Entry g * restarts + r is restart r of tables[g], started from
-    starts[r].
+    starts[r].  tables[g] is game g's weighted cost table divided by
+    2**exponents[g]; its tol is divided alike, so each entry stops where
+    the unscaled game would, and costs are multiplied back at the end.
     """
     n_games, restarts = len(tables), config.restarts
     state, alice, bob = (np.concatenate([part] * n_games) for part in starts)
     weights = np.repeat(tables, restarts, axis=0)
+    tol = np.ldexp(config.tol, -np.repeat(exponents, restarts))
     active = np.arange(n_games * restarts)
     operator = game_operator(weights, alice, bob)
     cost = np.einsum("ri,rij,rj->r", state.conj(), operator, state).real
@@ -250,23 +290,25 @@ def _run_stack(tables: np.ndarray, config: SeesawConfig, starts) -> list[SeesawR
             traces[r].append(c)
         improvement = cost[active] - new_cost
         cost[active] = new_cost
-        active = active[improvement >= config.tol]
+        active = active[improvement >= tol[active]]
         if active.size == 0:
             break
     reports = []
-    for first in range(0, n_games * restarts, restarts):
+    for g, first in enumerate(range(0, n_games * restarts, restarts)):
         best = int(np.argmin(cost[first:first + restarts]))
-        e = first + best
+        e, k = first + best, int(exponents[g])
         best_strategy = QuantumStrategy(config.d_a, config.d_b, state[e], alice[e], bob[e])
-        reports.append(SeesawReport(float(cost[e]), best_strategy, best,
-                                    tuple(tuple(t) for t in traces[first:first + restarts])))
+        reports.append(SeesawReport(
+            math.ldexp(float(cost[e]), k), best_strategy, best,
+            tuple(tuple(math.ldexp(c, k) for c in t) for t in traces[first:first + restarts])))
     return reports
 
 
 def _seesaw_stack(games: Sequence[Game], config: SeesawConfig) -> list[SeesawReport]:
     """seesaw_upper_bound of each of a sequence of same-shape games, in order.
 
-    Every game is checked before any iteration runs.  The random
+    Every game is checked before any iteration runs, and its table is
+    brought to unit scale once (_unit_scale).  The random
     starts depend only on config and the input counts, so they are
     drawn once; then every (game, restart) pair advances as one entry of
     a stack of whole games, as many as fit in _STACK_ENTRIES entries but
@@ -277,7 +319,8 @@ def _seesaw_stack(games: Sequence[Game], config: SeesawConfig) -> list[SeesawRep
     shapes = sorted({game._weights.shape for game in games})
     if len(shapes) != 1:
         raise ValueError(f"games must share one shape, got {shapes or 'no game'}")
-    tables = _weights_of(np.array([game._weights for game in games]))
+    tables, _ = _weights_of(np.array([game._weights for game in games]))
+    tables, exponents = _unit_scale(tables)
     n_s, n_t, n_a, n_b = tables.shape[-4:]
     if n_a != 2 or n_b != 2:
         raise ValueError(f"see-saw handles binary answers only, got n_a={n_a}, n_b={n_b}")
@@ -286,7 +329,8 @@ def _seesaw_stack(games: Sequence[Game], config: SeesawConfig) -> list[SeesawRep
     per_stack = max(1, _STACK_ENTRIES // config.restarts)
     reports = []
     for first in range(0, len(tables), per_stack):
-        reports += _run_stack(tables[first:first + per_stack], config, starts)
+        chunk = slice(first, first + per_stack)
+        reports += _run_stack(tables[chunk], exponents[chunk], config, starts)
     return reports
 
 

@@ -247,10 +247,12 @@ def test_expected_cost_shape_check():
     (np.full((2, 2, 2, 2), np.nan), "behavior has non-finite entries"),
     (np.full((2, 2, 2, 2), -0.25), "behavior has negative probability -0.25"),
     (np.zeros((2, 2, 2, 2)), "behavior rows must sum to 1"),
+    (np.zeros((0, 2, 2, 2)), "behavior table has an empty axis, shape \\(0, 2, 2, 2\\)"),
+    (np.zeros((2, 2, 0, 2)), "behavior table has an empty axis, shape \\(2, 2, 0, 2\\)"),
 ])
 def test_invalid_tables_are_refused_on_the_way_to_expected_cost(table, message):
     # unchecked, these tables would score nan, -0.5 (below the non-signalling
-    # bound 0.0) and 0.0
+    # bound 0.0) and 0.0; an empty axis is named before any reduction runs
     g = make_chsh_game()
     with pytest.raises(TypeError, match="expected_cost scores a Behavior, got ndarray"):
         expected_cost(g, table)

@@ -137,20 +137,24 @@ def test_partial_trace_rejects_bad_dims():
         partial_trace_a(np.eye(5), 2, 2)
 
 
-def test_herm_eig_scales_the_hermitian_check_with_the_largest_entry():
-    rng = np.random.default_rng(11)
-    H = 1e8 * random_hermitian(rng, 4)
-    H[0, 1] += 1e-9  # the rounding asymmetry of an operator built from 1e8 costs
+def test_herm_eig_checks_every_matrix_at_one_absolute_tolerance():
+    # the check is max|H - H^dag| <= 1e-10 whatever the scale of the input:
+    # the see-saw brings each game's table to unit scale before it gets here
+    H = np.diag([1e8, -1e8, 3.0, 0.0]).astype(complex)
+    H[1, 2], H[2, 1] = 1e-3, 1e-3 + 5e-11
     w, v = herm_eig(H)
+    assert np.array_equal(w[[0, 3]], [-1e8, 1e8])
     assert np.max(np.abs(H @ v - v @ np.diag(w))) <= 1e-10 * 1e8
-    # a small member of a large-scale stack is checked against the stack's scale,
-    # as the see-saw's cancelling best-response operators need
-    small = np.array([[7e-9, 5e-9], [5e-9 + 4e-10, 2e-9]])
-    w, _ = herm_eig(np.array([small, 1e7 * np.eye(2)]))
-    assert np.array_equal(w[1], [1e7, 1e7])
     skewed = H.copy()
-    skewed[3, 0] += 1e2  # about 1e-6 of the largest entry
+    skewed[2, 1] += 1e-4  # 1e-12 of the largest entry, but above 1e-10
+    small = np.array([[7e-9, 5e-9], [5e-9 + 4e-10, 2e-9]])
     for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), 1e8 * np.array([[0.0, 1.0], [0.0, 0.0]]),
-                skewed):
-        with pytest.raises(ValueError, match="not Hermitian within 1e-10 of its largest entry"):
+                skewed, np.array([small, 1e7 * np.eye(2)])):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian within 1e-10$"):
             herm_eig(bad)
+
+
+def test_herm_eig_refuses_a_small_non_hermitian_member_of_a_large_stack():
+    # a large member no longer loosens the check of the others
+    with pytest.raises(ValueError, match="not Hermitian"):
+        herm_eig(np.array([[[0.0, 1e-2], [0.0, 0.0]], 1e9 * np.eye(2)]))

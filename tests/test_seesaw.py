@@ -326,6 +326,8 @@ def family_grid(phis, ws):
 
 
 HARDY_CAPS = [cap_infinities(make_hardy_game(1.0), cap) for cap in (2.0, 4.0, 10.0)]
+# largest weighted costs max|pi C| of 2.5e8 and 2.5e7
+LARGE_COSTS = [cap_infinities(make_hardy_game(1.0), 1e9), make_family_game(FamilyParams(0.5, 1e-8))]
 
 
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (4, 4)])
@@ -391,15 +393,19 @@ def assert_same_report(got, want):
 
 
 def assert_value_matches_strategy(game, report):
+    # the replay's rounding grows with the largest weighted cost; the second
+    # term only decides for costs above about 1e3
     replay = evaluate_quantum_strategy(game, report.best_strategy)
-    assert abs(report.best_cost - replay) <= 1e-12 * max(1.0, abs(report.best_cost))
+    tol = max(1e-12 * max(1.0, abs(report.best_cost)), 1e-15 * float(np.abs(game._weights).max()))
+    assert abs(report.best_cost - replay) <= tol
 
 
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (4, 4)])
 @pytest.mark.parametrize("grid", ["family", "hardy-caps"])
 def test_grid_driver_matches_per_game_seesaw_bitwise(grid, d_a, d_b):
+    # each stack mixes games whose largest weighted costs run from 0.5 to 2.5e8
     games = (family_grid([0.05, 0.49, 1.076, 1.5], [0.0, 0.5, 1.0]) if grid == "family"
-             else HARDY_CAPS)
+             else HARDY_CAPS) + LARGE_COSTS
     config = SeesawConfig(d_a=d_a, d_b=d_b, restarts=3, max_iters=60, seed=5)
     reports = seesaw._seesaw_stack(games, config)
     assert len(reports) == len(games)
@@ -459,13 +465,16 @@ def test_seesaw_chsh_reaches_tsirelson():
 
 
 def test_seesaw_traces_are_monotone():
-    report = seesaw_upper_bound(make_chsh_game(), SeesawConfig(seed=2, restarts=6))
-    for trace in report.traces:
-        diffs = np.diff(np.array(trace))
-        assert diffs.max() <= 1e-12
-    # the winning restart is the earliest whose final cost is the best
-    assert report.traces[report.best_restart][-1] == report.best_cost
-    assert all(trace[-1] > report.best_cost for trace in report.traces[:report.best_restart])
+    # a step can rise by rounding alone, by at most about 2e-15 * max|pi C|
+    for game in [make_chsh_game()] + LARGE_COSTS:
+        report = seesaw_upper_bound(game, SeesawConfig(seed=2, restarts=6))
+        bound = max(1e-12, 1e-14 * float(np.abs(game._weights).max()))
+        for trace in report.traces:
+            diffs = np.diff(np.array(trace))
+            assert diffs.max() <= bound
+        # the winning restart is the earliest whose final cost is the best
+        assert report.traces[report.best_restart][-1] == report.best_cost
+        assert all(trace[-1] > report.best_cost for trace in report.traces[:report.best_restart])
 
 
 def test_seesaw_is_deterministic():
@@ -536,12 +545,31 @@ def test_config_stores_tol_as_float(value):
     (cap_infinities(make_hardy_game(1.0), 1e9), 0.25),
 ])
 def test_seesaw_runs_on_games_with_large_costs(game, classical):
-    # the rounding asymmetry of the best-response operators grows with the
-    # cost scale, so herm_eig's Hermitian check must grow with it
+    # the see-saw runs each game at unit scale, so the rounding asymmetry of
+    # its operators stays inside herm_eig's absolute check whatever the costs
     report = seesaw_upper_bound(game, SeesawConfig(restarts=3, max_iters=100, seed=1))
     assert report.best_cost <= classical + 1e-6
     replay = evaluate_quantum_strategy(game, report.best_strategy)
     assert abs(replay - report.best_cost) <= 1e-6
+
+
+@pytest.mark.parametrize("game", LARGE_COSTS, ids=["hardy-cap-1e9", "family-0.5-1e-8"])
+def test_steps_run_on_a_game_with_large_costs(game):
+    # a Game is brought to unit scale inside every step, not only by the restart loop
+    rng = np.random.default_rng(63)
+    for _ in range(5):
+        state = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state /= np.linalg.norm(state)
+        bob = (random_projective(rng), random_projective(rng))
+        new_alice = update_alice(game, state, bob)
+        new_bob = update_bob(game, state, new_alice)
+        best_state, cost = optimal_state(game, new_alice, new_bob)
+        # the operator of a Game is that of its table as given, bitwise
+        op = game_operator(game, new_alice, new_bob)
+        assert op.tobytes() == game_operator(game._weights, new_alice, new_bob).tobytes()
+        scale = float(np.abs(game._weights).max())
+        assert abs(float(np.vdot(best_state, op @ best_state).real) - cost) <= 1e-14 * scale
+        assert cost <= _cost_of(game, state, new_alice, new_bob) + 1e-14 * scale
 
 
 def test_numpy_integer_config_gives_a_strategy_that_saves_and_loads(tmp_path):
