@@ -28,10 +28,17 @@ _BLOCK_ENTRIES = 2**20
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    """Response functions alpha: s -> a and beta: t -> b, as tuples."""
+    """Response functions alpha: s -> a and beta: t -> b, copied into tuples.
+
+    So a strategy is hashable and compares by value; strategy_cost checks the answers.
+    """
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", tuple(self.alpha))
+        object.__setattr__(self, "beta", tuple(self.beta))
 
 
 def strategy_cost(game: Game, strategy: DeterministicStrategy) -> float:

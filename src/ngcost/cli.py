@@ -224,6 +224,8 @@ def _grid(bounds: list[float], name: str, low: float, high: float) -> np.ndarray
     start, stop, steps = bounds
     if not math.isfinite(steps) or steps != int(steps) or steps < 1:
         raise ValueError(f"{name} step count must be a positive integer, got {steps}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{name} start and stop must be finite, got {start} and {stop}")
     if not (low <= start <= stop <= high):
         raise ValueError(f"{name} range [{start}, {stop}] must sit inside [{low}, {high}]")
     return np.linspace(start, stop, int(steps))

@@ -43,12 +43,8 @@ class Game:
     cost: np.ndarray
 
     def __post_init__(self):
-        dist = np.array(self.input_dist, dtype=float)
-        cost = np.array(self.cost, dtype=float)
-        dist.flags.writeable = False
-        cost.flags.writeable = False
-        object.__setattr__(self, "input_dist", dist)
-        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "input_dist", _frozen(self.input_dist, float))
+        object.__setattr__(self, "cost", _frozen(self.cost, float))
         problems = _problems(self)
         if problems:
             raise ValueError("; ".join(problems))
@@ -59,9 +55,7 @@ class Game:
         # included: the one weighted cost table every solver reads.
         # Read-only, and computed once per game from the frozen arrays.
         pi = self.input_dist[:, :, None, None]
-        weights = pi * np.where(pi > 0, self.cost, 0.0)
-        weights.flags.writeable = False
-        return weights
+        return _frozen(pi * np.where(pi > 0, self.cost, 0.0), float)
 
     def max_finite_cost(self) -> float:
         finite = self.cost[np.isfinite(self.cost)]
@@ -173,6 +167,13 @@ def _positive_int(value, name: str, zero: bool = False) -> int:
     raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
+def _frozen(value, dtype) -> np.ndarray:
+    """A read-only copy of value as a dtype array: how every value type holds an array."""
+    arr = np.array(value, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def _problems(game: Game) -> list[str]:
     """Human-readable diagnostics of a game's arrays; empty when they make a game.
 
@@ -223,7 +224,7 @@ class Behavior:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.p, dtype=float)
+        arr = np.asarray(self.p, dtype=float)
         if arr.ndim != 4:
             raise ValueError(f"behavior table must have 4 axes (s,t,a,b), got {arr.ndim}")
         if arr.size == 0:
@@ -233,13 +234,11 @@ class Behavior:
         low = float(arr.min())
         if low < -1e-12:
             raise ValueError(f"behavior has negative probability {low!r}")
-        np.clip(arr, 0.0, None, out=arr)
-        sums = arr.sum(axis=(2, 3))
-        worst = float(np.max(np.abs(sums - 1.0)))
+        p = _frozen(np.clip(arr, 0.0, None), float)
+        worst = float(np.max(np.abs(p.sum(axis=(2, 3)) - 1.0)))
         if worst > 1e-9:
             raise ValueError(f"behavior rows must sum to 1 (largest deviation {worst!r})")
-        arr.flags.writeable = False
-        object.__setattr__(self, "p", arr)
+        object.__setattr__(self, "p", p)
 
 
 def expected_cost(game: Game, behavior: Behavior) -> float:

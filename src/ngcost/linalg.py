@@ -22,10 +22,13 @@ def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"herm_eig needs square matrices, got shape {H.shape}")
     if H.size == 0:
         raise ValueError("herm_eig needs a nonempty matrix")
-    if not np.isfinite(H).all():
-        raise ValueError("herm_eig needs finite entries")
     H_dag = H.conj().swapaxes(-1, -2)
-    if np.max(np.abs(H - H_dag)) > HERMITIAN_TOL:
+    # a NaN or infinite entry makes the gap NaN or infinite, so one test refuses both
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = np.max(np.abs(H - H_dag))
+    if not gap <= HERMITIAN_TOL:
+        if not np.isfinite(H).all():
+            raise ValueError("herm_eig needs finite entries")
         raise ValueError("matrix is not Hermitian within 1e-10")
     return np.linalg.eigh((H + H_dag) / 2.0)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import (Behavior, Game, _check_document, _positive_int, _read_json, _read_nested,
-                    _write_json, expected_cost)
+from .games import (Behavior, Game, _check_document, _frozen, _positive_int, _read_json,
+                    _read_nested, _write_json, expected_cost)
 # kron is no longer used here; it stays importable from this module because
 # benchmarks/tracer.py wraps it by name.
 from .linalg import kron  # noqa: F401
@@ -28,15 +28,9 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _freeze(arr) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.flags.writeable = False
-    return out
-
-
 def _freeze_povms(povms, name: str) -> np.ndarray:
     try:
-        arr = _freeze(povms)
+        arr = _frozen(povms, complex)
     except ValueError as exc:
         raise ValueError(f"{name} are ragged; expected (inputs, outcomes, d, d)") from exc
     if arr.ndim != 4 or arr.shape[2] != arr.shape[3]:
@@ -61,7 +55,7 @@ class QuantumStrategy:
     bob_povms: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "state", _freeze(self.state))
+        object.__setattr__(self, "state", _frozen(self.state, complex))
         object.__setattr__(self, "alice_povms", _freeze_povms(self.alice_povms, "alice_povms"))
         object.__setattr__(self, "bob_povms", _freeze_povms(self.bob_povms, "bob_povms"))
         problems = validate_strategy(self)  # looked up by name: benchmarks/tracer.py wraps it

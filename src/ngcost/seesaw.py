@@ -29,8 +29,9 @@ from .games import Game, _positive_int
 from .linalg import herm_eig, kron, partial_trace_a, partial_trace_b  # noqa: F401
 from .quantum import QuantumStrategy
 
-# applies at unit scale, that is relative to a game's largest weighted cost
-NEGATIVE_EIG_TOL = 1e-12
+# applies at unit scale, that is relative to a game's largest weighted cost; a few
+# rounding units, so costs down to ~1e-13 of the largest still steer a response
+NEGATIVE_EIG_TOL = 1e-15
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .games import _frozen
+
 PIVOT_TOL = 1e-9
 RATIO_TIE_TOL = 1e-12
 
@@ -44,9 +46,9 @@ class LinearProgram:
     b_eq: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.c, dtype=float)
-        a = np.array(self.a_eq, dtype=float)
-        b = np.array(self.b_eq, dtype=float)
+        for name in ("c", "a_eq", "b_eq"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), float))
+        c, a, b = self.c, self.a_eq, self.b_eq
         if a.ndim != 2:
             raise ValueError(f"a_eq must be a matrix, got {a.ndim} axes")
         if c.ndim != 1 or c.shape[0] != a.shape[1]:
@@ -55,9 +57,6 @@ class LinearProgram:
             raise ValueError(f"b_eq has shape {b.shape}, expected ({a.shape[0]},)")
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("linear program data must be finite")
-        for name, arr in (("c", c), ("a_eq", a), ("b_eq", b)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:

@@ -42,3 +42,17 @@ def test_games_and_nsbound_import_no_quantum_layer(module):
     loaded = result.stdout
     assert module in loaded
     assert "ngcost.quantum" not in loaded and "ngcost.seesaw" not in loaded
+
+
+def test_importing_ngcost_loads_no_cli_argparse_or_scipy():
+    # what setup_s times: the CLI, its argparse and the test-only scipy load on demand
+    src = str(Path(ngcost.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import ngcost\n"
+        "print(sorted(name for name in ('argparse', 'ngcost.cli', 'scipy') if name in sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

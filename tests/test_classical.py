@@ -89,6 +89,25 @@ def test_strategy_cost_validates_shapes():
     assert strategy_cost(g, numpy_ints) == strategy_cost(g, DeterministicStrategy((1, 0), (0, 1)))
 
 
+def test_deterministic_strategy_holds_tuples_of_the_answers_given():
+    g = make_chsh_game()
+    alpha, beta = [0, 1], [0, 0]
+    strategy = DeterministicStrategy(alpha, beta)
+    alpha[0], beta[1] = 1, 1
+    assert (strategy.alpha, strategy.beta) == ((0, 1), (0, 0))
+    assert strategy == DeterministicStrategy((0, 1), (0, 0))
+    assert hash(strategy) == hash(DeterministicStrategy((0, 1), (0, 0)))
+    from_arrays = DeterministicStrategy(np.array([0, 1]), np.array([1, 0]))
+    assert from_arrays == DeterministicStrategy((0, 1), (1, 0))
+    assert from_arrays != strategy
+    assert strategy_cost(g, from_arrays) == strategy_cost(g, DeterministicStrategy((0, 1), (1, 0)))
+    # the answers are not converted, so strategy_cost still refuses them
+    with pytest.raises(ValueError, match=r"^alpha\[0\]=0.5 is not an integer answer$"):
+        strategy_cost(g, DeterministicStrategy([0.5, 0], [0, 0]))
+    with pytest.raises(ValueError, match=r"^beta\[1\]=True is not an integer answer$"):
+        strategy_cost(g, DeterministicStrategy([0, 0], np.array([0, True], dtype=object)))
+
+
 def test_classical_chsh_exact():
     value, witness = classical_cost(make_chsh_game())
     assert value == 0.25

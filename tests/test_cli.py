@@ -429,6 +429,21 @@ def test_sweep_rejects_non_finite_step_counts(capsys, axis, steps):
     assert err == f"error: {axis} step count must be a positive integer, got {steps}\n"
 
 
+@pytest.mark.parametrize("axis, bounds", [
+    ("--w-range", ["0", "inf", "2"]),
+    ("--w-range", ["1", "nan", "2"]),
+    ("--phi-range", ["0", "inf", "2"]),
+])
+def test_sweep_refuses_a_non_finite_range_end_by_name(capsys, axis, bounds):
+    ranges = {"--phi-range": ["0", "1", "1"], "--w-range": ["1", "1", "1"]}
+    ranges[axis] = bounds
+    code, out, err = run_cli(capsys, "sweep", "--phi-range", *ranges["--phi-range"],
+                             "--w-range", *ranges["--w-range"])
+    start, stop = (float(x) for x in bounds[:2])
+    assert (code, out) == (2, "")
+    assert err == f"error: {axis} start and stop must be finite, got {start} and {stop}\n"
+
+
 @pytest.mark.parametrize("command", [
     ["seesaw", "--builtin", "chsh"],
     ["sweep", "--phi-range", "0", "0.8", "2", "--w-range", "1", "1", "1"],

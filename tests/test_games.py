@@ -8,6 +8,7 @@ from ngcost import (
     Behavior,
     FamilyParams,
     Game,
+    QuantumStrategy,
     auto_cap,
     cap_infinities,
     expected_cost,
@@ -19,6 +20,7 @@ from ngcost import (
     make_hardy_game,
     save_game,
 )
+from ngcost.simplex import LinearProgram
 
 INF = math.inf
 
@@ -129,6 +131,33 @@ def test_game_arrays_are_frozen():
         g.cost[0, 0, 0, 0] = 5.0
     with pytest.raises(ValueError):
         g.input_dist[0, 0] = 1.0
+
+
+def test_every_value_type_holds_a_read_only_copy():
+    dist = np.full((2, 2), 0.25)
+    cost = np.arange(16.0).reshape(2, 2, 2, 2)
+    table = np.full((2, 2, 2, 2), 0.25)
+    state = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    povms = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]] * 2, dtype=complex)
+    c, a_eq, b_eq = np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
+    game = Game(2, 2, 2, 2, dist, cost)
+    behavior = Behavior(table)
+    strategy = QuantumStrategy(2, 2, state, povms, povms)
+    lp = LinearProgram(c, a_eq, b_eq)
+    held = [(game.input_dist, dist), (game.cost, cost), (game._weights, cost),
+            (behavior.p, table), (strategy.state, state), (strategy.alice_povms, povms),
+            (strategy.bob_povms, povms), (lp.c, c), (lp.a_eq, a_eq), (lp.b_eq, b_eq)]
+    for array, given in held:
+        assert not array.flags.writeable
+        assert not np.shares_memory(array, given)
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.5
+    for given in (dist, cost, table, state, povms, c, a_eq, b_eq):
+        given.flat[0] = 0.5
+    assert game.input_dist[0, 0] == 0.25 and game.cost[0, 0, 0, 0] == 0.0
+    assert game._weights[0, 0, 0, 0] == 0.0 and behavior.p[0, 0, 0, 0] == 0.25
+    assert strategy.state[0] == 1.0 and strategy.alice_povms[0, 0, 0, 0] == 1.0
+    assert (lp.c[0], lp.a_eq[0, 0], lp.b_eq[0]) == (1.0, 1.0, 1.0)
 
 
 def test_cap_infinities_hardy():

@@ -49,15 +49,28 @@ def test_herm_eig_rejects_bad_input():
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))  # clearly non-Hermitian
     with pytest.raises(ValueError):
         herm_eig(np.zeros((0, 0)))
-    # non-finite entries are refused before any arithmetic can warn
+    # non-finite entries fail the Hermitian test and are named as such, without a warning
     with pytest.raises(ValueError, match="finite"):
         herm_eig(np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match="finite"):
         herm_eig(np.diag([np.inf, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        herm_eig(np.array([[0.0, np.inf], [np.inf, 0.0]]))  # a symmetric +-inf pair
+    with pytest.raises(ValueError, match="finite"):
+        herm_eig(np.array([[0.0, -np.inf], [-np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        herm_eig(np.array([[0.0, complex(np.inf, np.inf)], [complex(np.inf, -np.inf), 0.0]]))
     stack = np.zeros((3, 2, 2))
     stack[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         herm_eig(stack)
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[2, 1, 1] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        herm_eig(stack)
+    # huge finite entries that overflow the gap are not Hermitian, not non-finite
+    with pytest.raises(ValueError, match="not Hermitian"):
+        herm_eig(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
 def test_herm_eig_on_a_stack_matches_single_calls():

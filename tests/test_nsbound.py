@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from ns_games import captured_ns_lps, random_ns_games
+from ns_vertices import NS_VERTICES, exact_ns_value
 from scipy.optimize import linprog
 
 from ngcost import (
@@ -138,6 +140,50 @@ def test_ns_is_a_lower_bound():
         assert value <= classical_cost(game)[0] + 1e-9
     quantum = evaluate_quantum_strategy(make_chsh_game(), chsh_optimal_strategy())
     assert ns_lower_bound(make_chsh_game())[0] <= quantum + 1e-9
+
+
+def test_vertex_oracle_has_the_24_vertices_of_the_ns_polytope():
+    tables = set()
+    for vertex in NS_VERTICES:
+        p = np.zeros((2, 2, 2, 2))
+        for entry, mass in vertex.items():
+            p[entry] = float(mass)
+        assert is_nonsignalling(Behavior(p))
+        tables.add(p.tobytes())
+    assert len(NS_VERTICES) == len(tables) == 24
+    assert exact_ns_value(make_chsh_game()) == 0
+    assert exact_ns_value(make_hardy_game(1.0)) == Fraction(1, 8)
+
+
+def _binary_games_with_infinities(seed: int, count: int) -> list[Game]:
+    """2x2x2x2 games, about 3 entries in 10 +inf, often with zero-weight inputs."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for k in range(count):
+        shape = (2, 2, 2, 2)
+        cost = rng.integers(0, 4, size=shape).astype(float) if k % 2 else rng.uniform(0, 3, shape)
+        cost[rng.random(shape) < 0.3] = INF
+        weights = rng.integers(0, 3, size=(2, 2)).astype(float)
+        weights[0, 0] += weights.sum() == 0
+        games.append(Game(*shape, weights / weights.sum(), cost))
+    return games
+
+
+def test_ns_bound_is_the_least_allowed_vertex_cost():
+    phis = [(k + 0.5) * (math.pi / 2) / 32 for k in range(32)]
+    family = [make_family_game(FamilyParams(phi, w)) for phi in phis for w in (0.0, 0.5, 1.0, 2.0)]
+    games = [make_chsh_game(), make_hardy_game(1.0)] + family + _binary_games_with_infinities(71, 400)
+    infeasible = 0
+    for game in games:
+        exact = exact_ns_value(game)
+        try:
+            value = ns_lower_bound(game)[0]
+        except NonSignallingInfeasibleError:
+            assert exact is None, game
+            infeasible += 1
+        else:
+            assert exact is not None and abs(value - float(exact)) <= 1e-12, game
+    assert infeasible > 0
 
 
 def test_ns_infeasible_when_block_fully_forbidden():

@@ -1,6 +1,6 @@
 """Property tests: the Game constructor's rule, JSON round-trips, the
-classical value under capping, and the ns bound and the see-saw on games
-with zero-weight inputs.
+classical value under capping, the ns bound against the exact vertex
+oracle, and the ns bound and the see-saw on games with zero-weight inputs.
 
 Shapes stay small so that each example runs in milliseconds; the
 hypothesis profile in conftest.py makes the examples the same on every run.
@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from ngcost import (
     Game,
+    NonSignallingInfeasibleError,
     QuantumStrategy,
     SeesawConfig,
     cap_infinities,
@@ -32,6 +33,8 @@ from ngcost import (
     strategy_to_dict,
 )
 from ngcost.quantum import validate_strategy
+
+from ns_vertices import exact_ns_value
 
 UNIT = st.floats(-1.0, 1.0, width=64)
 SIZE = st.integers(1, 3)
@@ -64,8 +67,9 @@ FINITE_COST = st.one_of(st.floats(0.0, 10.0, width=64), st.integers(0, 5).map(fl
 
 
 @st.composite
-def games(draw, max_size: int = 3, weight=st.floats(0.0, 1.0, width=64)) -> Game:
-    n_s, n_t, n_a, n_b = (draw(st.integers(1, max_size)) for _ in range(4))
+def games(draw, max_size: int = 3, weight=st.floats(0.0, 1.0, width=64),
+          min_size: int = 1) -> Game:
+    n_s, n_t, n_a, n_b = (draw(st.integers(min_size, max_size)) for _ in range(4))
     weights = draw(arrays(float, (n_s, n_t), elements=weight))
     assume(weights.sum() > 1e-3)
     cost = draw(arrays(float, (n_s, n_t, n_a, n_b), elements=COST))
@@ -167,6 +171,20 @@ def test_ns_bound_is_feasible_and_below_classical_with_zero_weight_inputs(game):
     value = classical_cost(game)[0]
     if math.isfinite(value):
         assert ns_lower_bound(game)[0] <= value + 1e-9
+
+
+@given(games(min_size=2, max_size=2, weight=st.integers(0, 2)))
+def test_ns_bound_is_the_least_allowed_ns_vertex_cost(game):
+    """On 2x2x2x2 games the ns bound is exact: the least cost of the NS polytope's
+    24 vertices that put no mass on a +inf entry of a positive-weight input.
+    """
+    exact = exact_ns_value(game)
+    try:
+        value = ns_lower_bound(game)[0]
+    except NonSignallingInfeasibleError:
+        assert exact is None
+    else:
+        assert exact is not None and abs(value - float(exact)) <= 1e-12
 
 
 @st.composite

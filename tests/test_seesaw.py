@@ -553,6 +553,16 @@ def test_seesaw_runs_on_games_with_large_costs(game, classical):
     assert abs(replay - report.best_cost) <= 1e-6
 
 
+@pytest.mark.parametrize("cap", [1e11, 1e12, 1e13])
+def test_huge_caps_keep_hardy_below_the_classical_value(cap):
+    # at unit scale the finite Hardy costs are 1e-13 to 1e-11 of the largest
+    # entry; NEGATIVE_EIG_TOL must stay below that share for them to steer
+    # a best response, else every restart ends at the classical 0.25
+    game = cap_infinities(make_hardy_game(1.0), cap)
+    report = seesaw_upper_bound(game, SeesawConfig(restarts=8, seed=1))
+    assert report.best_cost < 0.2289
+
+
 @pytest.mark.parametrize("game", LARGE_COSTS, ids=["hardy-cap-1e9", "family-0.5-1e-8"])
 def test_steps_run_on_a_game_with_large_costs(game):
     # a Game is brought to unit scale inside every step, not only by the restart loop
