@@ -59,11 +59,7 @@ def strategy_cost(game: Game, strategy: DeterministicStrategy) -> float:
             if not 0 <= x < n_answers:
                 raise ValueError(f"{name}[{i}]={x} outside answer alphabet of size {n_answers}")
 
-    total = 0.0
-    for s in range(game.n_s):
-        for t in range(game.n_t):
-            total += game._weights[s, t, alpha[s], beta[t]]
-    return float(total)
+    return float(_pair_costs(game._weights, np.array([alpha + beta], dtype=np.int64))[0])
 
 
 def _strategy_rows(start: int, stop: int, n_inputs: int, n_answers: int) -> np.ndarray:
@@ -105,7 +101,7 @@ def _near_pairs(rows: np.ndarray, near: np.ndarray, chunk: int):
 
 
 def _pair_costs(weighted: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """strategy_cost of every (alpha + beta) row, its terms added in the same (s, t) order."""
+    """Cost of every (alpha + beta) row, its terms added in (s, t) order: strategy_cost's sum."""
     n_s, n_t, _, n_b = weighted.shape
     cells = weighted.reshape(n_s, n_t, -1)
     alpha = np.ascontiguousarray(pairs[:, :n_s].T) * n_b

@@ -11,8 +11,10 @@ T, and the two-parameter family G(phi, w) that contains both as endpoints.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -77,9 +79,7 @@ def make_hardy_game(T: float = 1.0) -> Game:
     answer/input pairs that a Hardy-type argument forbids cost +inf:
     (0,1 | 0,1), (1,0 | 1,0) and (0,0 | 1,1).  Everything else is free.
     """
-    T = float(T)
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError(f"penalty T must be positive and finite, got {T}")
+    T = _real(T, "penalty T")
     cost = np.zeros((2, 2, 2, 2))
     cost[0, 0] = [[0.0, T], [T, T]]
     cost[0, 1, 0, 1] = math.inf
@@ -90,20 +90,16 @@ def make_hardy_game(T: float = 1.0) -> Game:
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters of the game family G(phi, w): phi in [0, pi/2], w >= 0."""
+    """Parameters of the game family G(phi, w): phi in [0, pi/2], w finite and >= 0."""
 
     phi: float
     w: float
 
     def __post_init__(self):
-        phi = float(self.phi)
-        w = float(self.w)
-        if not (0.0 <= phi <= math.pi / 2):  # also rejects NaN
-            raise ValueError(f"phi must lie in [0, pi/2], got {phi}")
-        if not (w >= 0.0 and math.isfinite(w)):
-            raise ValueError(f"w must be a nonnegative finite real, got {w}")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "phi", _real(self.phi, "phi", "real in [0, pi/2]",
+                                              lambda x: 0.0 <= x <= math.pi / 2))
+        object.__setattr__(self, "w", _real(self.w, "w", "finite non-negative real",
+                                            lambda x: 0.0 <= x < math.inf))
 
 
 def make_family_game(params: FamilyParams) -> Game:
@@ -137,9 +133,7 @@ def cap_infinities(game: Game, cap: float) -> Game:
     capping never reorders existing preferences.  The input distribution
     is reused unchanged.
     """
-    cap = float(cap)
-    if not math.isfinite(cap) or cap <= 0:
-        raise ValueError(f"cap must be positive and finite, got {cap}")
+    cap = _real(cap, "cap")
     max_finite = game.max_finite_cost()
     if cap <= max_finite:
         raise ValueError(
@@ -167,9 +161,29 @@ def _positive_int(value, name: str, zero: bool = False) -> int:
     raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
+def _real(value, name: str, kind: str = "finite positive real",
+          ok=lambda x: 0.0 < x < math.inf) -> float:
+    """value as a float: a numbers.Real (numpy reals too) but not a bool, for which ok holds.
+
+    Anything else, a value too large for a float included, raises ValueError
+    naming name and kind.  The one rule for every real parameter ngcost is given.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int or Fraction beyond the float range
+            if ok(x := float(value)):
+                return x
+    raise ValueError(f"{name} must be a {kind}, got {value!r}")
+
+
 def _frozen(value, dtype) -> np.ndarray:
-    """A read-only copy of value as a dtype array: how every value type holds an array."""
-    arr = np.array(value, dtype=dtype)
+    """A read-only copy of value as a dtype array: how every value type holds an array.
+
+    A complex value for a float dtype raises ValueError; numpy would drop its imaginary part.
+    """
+    arr = np.asarray(value)
+    if dtype is float and arr.dtype.kind == "c":
+        raise ValueError(f"expected real entries, got a {arr.dtype} array")
+    arr = np.array(arr, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -224,7 +238,7 @@ class Behavior:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float)
+        arr = _frozen(self.p, float)
         if arr.ndim != 4:
             raise ValueError(f"behavior table must have 4 axes (s,t,a,b), got {arr.ndim}")
         if arr.size == 0:
@@ -264,9 +278,7 @@ _GAME_FIELDS = {"n_s", "n_t", "n_a", "n_b", "input_dist", "cost"}
 
 
 def _finite(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(value)
-    return float(value)
+    return _real(value, "entry", "finite real", math.isfinite)
 
 
 # Leaf parsers for _read_nested: what an entry must be, and how to read one.

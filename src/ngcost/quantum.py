@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (Behavior, Game, _check_document, _frozen, _positive_int, _read_json,
-                    _read_nested, _write_json, expected_cost)
+                    _read_nested, _real, _write_json, expected_cost)
 # kron is no longer used here; it stays importable from this module because
 # benchmarks/tracer.py wraps it by name.
 from .linalg import kron  # noqa: F401
@@ -203,9 +203,7 @@ def hardy_strategy(theta: float) -> QuantumStrategy:
     measures the rotated basis {sin t |0> - cos t |1>, cos t |0> + sin t |1>};
     input 1 measures the computational basis.  Both parties use the same pair.
     """
-    theta = float(theta)
-    if not (0.0 < theta < math.pi / 2):
-        raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta}")
+    theta = _real(theta, "theta", "real strictly inside (0, pi/2)", lambda x: 0 < x < math.pi / 2)
     c, s = math.cos(theta), math.sin(theta)
     norm = math.sqrt(1.0 + c * c)
     psi = np.zeros(4, dtype=complex)

@@ -17,13 +17,12 @@ at that unit scale, whatever the game's costs.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import Game, _positive_int
+from .games import Game, _positive_int, _real
 # kron and the partial traces are no longer used here; they stay importable
 # from this module because benchmarks/tracer.py wraps them by name.
 from .linalg import herm_eig, kron, partial_trace_a, partial_trace_b  # noqa: F401
@@ -55,10 +54,7 @@ class SeesawConfig:
         for name in ("d_a", "d_b", "restarts", "max_iters", "seed"):
             value = _positive_int(getattr(self, name), name, zero=name == "seed")
             object.__setattr__(self, name, value)
-        tol = self.tol
-        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
-            raise ValueError(f"tol must be a finite positive real, got {tol!r}")
-        object.__setattr__(self, "tol", float(tol))
+        object.__setattr__(self, "tol", _real(self.tol, "tol"))
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,9 @@ class LpUnboundedError(Exception):
     """The objective decreases without bound over the feasible set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min c.x  s.t.  a_eq x = b_eq, x >= 0."""
+    """min c.x  s.t.  a_eq x = b_eq, x >= 0; compares and hashes by identity, like Game."""
 
     c: np.ndarray
     a_eq: np.ndarray

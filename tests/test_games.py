@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from ngcost import (
     FamilyParams,
     Game,
     QuantumStrategy,
+    SeesawConfig,
     auto_cap,
     cap_infinities,
     expected_cost,
     game_from_dict,
     game_to_dict,
+    hardy_strategy,
     load_game,
     make_chsh_game,
     make_family_game,
@@ -158,6 +162,56 @@ def test_every_value_type_holds_a_read_only_copy():
     assert game._weights[0, 0, 0, 0] == 0.0 and behavior.p[0, 0, 0, 0] == 0.25
     assert strategy.state[0] == 1.0 and strategy.alice_povms[0, 0, 0, 0] == 1.0
     assert (lp.c[0], lp.a_eq[0, 0], lp.b_eq[0]) == (1.0, 1.0, 1.0)
+
+
+def test_complex_arrays_are_refused_where_real_ones_are_expected():
+    # numpy alone would warn and drop the imaginary parts: the first game
+    # would then be CHSH and score the classical 0.25
+    chsh = make_chsh_game()
+    builds = [
+        lambda: Game(2, 2, 2, 2, chsh.input_dist, chsh.cost + 1j),
+        lambda: Game(2, 2, 2, 2, chsh.input_dist + 0j, chsh.cost),
+        lambda: Behavior(np.full((2, 2, 2, 2), 0.25) + 0.5j),
+        lambda: LinearProgram([1.0, 2.0j], [[1.0, 1.0]], [1.0]),
+        lambda: LinearProgram([1.0, 2.0], np.ones((1, 2), dtype=complex), [1.0]),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="expected real entries, got a complex128 array"):
+            build()
+
+
+def _cost_entry_game(entry):
+    return game_from_dict({"n_s": 1, "n_t": 1, "n_a": 1, "n_b": 1,
+                           "input_dist": [[1.0]], "cost": [[[[entry]]]]})
+
+
+# Every real parameter, by the name its refusal starts with, each read back
+# from what it builds.
+_REAL_PARAMETERS = {
+    "penalty T": lambda x: make_hardy_game(x).cost,
+    "cap": lambda x: cap_infinities(make_hardy_game(0.5), x).cost,
+    "phi": lambda x: FamilyParams(x, 1.0).phi,
+    "w": lambda x: FamilyParams(0.5, x).w,
+    "theta": lambda x: hardy_strategy(x).state,
+    "tol": lambda x: SeesawConfig(tol=x).tol,
+    "cost[0][0][0][0]": lambda x: _cost_entry_game(x).cost,
+}
+
+
+@pytest.mark.parametrize("value", [True, "1", 1 + 0j, math.nan, INF,
+                                   pytest.param(10**400, id="10**400")])
+@pytest.mark.parametrize("parameter", sorted(_REAL_PARAMETERS))
+def test_every_real_parameter_refuses_what_is_not_a_real_in_range(parameter, value):
+    with pytest.raises(ValueError, match=re.escape(f"{parameter} must be a")):
+        _REAL_PARAMETERS[parameter](value)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.75), np.int64(1), Fraction(3, 4)], ids=repr)
+@pytest.mark.parametrize("parameter", sorted(_REAL_PARAMETERS))
+def test_every_real_parameter_takes_numpy_reals_and_fractions_as_floats(parameter, value):
+    read = _REAL_PARAMETERS[parameter]
+    got, want = read(value), read(float(value))
+    assert type(got) is type(want) and np.array_equal(got, want)
 
 
 def test_cap_infinities_hardy():

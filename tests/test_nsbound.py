@@ -70,6 +70,10 @@ def test_signalling_behavior_is_detected():
     p[1, 0, 0, 0] = 1.0
     p[1, 1, 0, 0] = 1.0
     assert not is_nonsignalling(Behavior(p))
+    q = np.zeros((2, 2, 2, 2))
+    for s in range(2):
+        q[s, :, 0, s] = 1.0  # Alice always answers 0, Bob answers Alice's input
+    assert not is_nonsignalling(Behavior(q))
 
 
 def test_quantum_behaviors_are_nonsignalling():

@@ -216,6 +216,12 @@ def test_strategy_refuses_dimensions_that_are_not_positive_integers(dim):
         f"d_b must be a positive integer, got {dim!r}"
 
 
+def test_strategy_refuses_a_side_without_measurements():
+    qs = chsh_optimal_strategy()
+    assert construction_error(2, 2, qs.state, np.zeros((0, 2, 2, 2)), qs.bob_povms) == \
+        "alice has no measurements"
+
+
 def test_strategy_stores_numpy_integer_dimensions_as_int():
     qs = chsh_optimal_strategy()
     built = QuantumStrategy(np.int64(2), np.int32(2), qs.state, qs.alice_povms, qs.bob_povms)

@@ -73,6 +73,16 @@ def test_validation_rejects_bad_shapes():
         LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0, 2.0])
     with pytest.raises(ValueError):
         LinearProgram([1.0, np.inf], [[1.0, 1.0]], [1.0])
+    with pytest.raises(ValueError, match="a_eq must be a matrix, got 1 axes"):
+        LinearProgram([1.0], [1.0], [1.0])
+
+
+def test_linear_program_compares_and_hashes_by_identity():
+    # like Game, Behavior and QuantumStrategy: array fields cannot decide ==
+    lp = LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0])
+    twin = LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0])
+    assert lp == lp and lp != twin
+    assert len({lp, twin, lp}) == 2
 
 
 def test_deterministic_resolution():
