@@ -1,20 +1,34 @@
 """Dense two-phase simplex for small equality-form linear programs.
 
 Solves min c.x subject to A x = b, x >= 0.  Bland's rule picks both the
-entering column (lowest index with negative reduced cost) and the
+entering variable (lowest index with negative reduced cost) and the
 leaving row (lowest basic index among minimum ratios), which rules out
 cycling and makes every pivot sequence reproducible.  The leaving row is
 chosen by a sequential scan over the rows whose coefficient passes
 PIVOT_TOL: a ratio more than RATIO_TIE_TOL below the best so far wins,
 and a ratio within RATIO_TIE_TOL of it wins only with a lower basic index.
 
+The tableau is in dictionary form: one column (slot) per non-basic
+variable plus the right-hand side, with `names[k]` the variable in slot
+k.  Variables 0..n-1 are real and n..n+m-1 are phase 1's artificials,
+which start basic, so phase 1 starts with the n real variables in their
+own slots.  A basic variable's column in a full tableau is a unit vector
+that no pivot decision reads, so it is not stored.  On a pivot the
+leaving variable takes the entering variable's slot: its unit column is
+written there, then the ordinary pivot runs.  Phase 2 keeps the slots of
+real variables and the rows that were not dropped as redundant.
+
 A pivot divides the pivot row by the pivot entry, then subtracts
 t[r, col] * (pivot row) from every other row r whose pivot-column entry
 is nonzero, as one gathered rank-1 update.  Each entry gets exactly the
-floating-point operations of a row-by-row loop, so the pivots, the
-optimal vertex and its value do not depend on how the update is batched.
-Rows with a zero pivot-column entry are left untouched, which also keeps
-their signed zeros.
+floating-point operations of a row-by-row loop over a full tableau, so
+the pivots, the right-hand side, the optimal vertex, its value and every
+error message are the same bytes as there.  Only the sign of a zero in a
+non-basic column may differ (for instance, where a full tableau's unit
+column held -0.0, the one written here holds +0.0).  Every test on a
+coefficient (`!= 0.0`, `> PIVOT_TOL`, `< -PIVOT_TOL`, `abs`) treats +0.0
+and -0.0 alike, and a signed zero never turns a product or a difference
+nonzero, so it reaches no decision and no output.
 """
 
 from __future__ import annotations
@@ -60,20 +74,25 @@ class LinearProgram:
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
+    """Pivot on (row, col); the leaving variable's unit column takes slot col."""
+    pivot = tableau[row, col]
     hit = tableau[:, col] != 0.0
     hit[row] = False
     rows = hit.nonzero()[0]
-    tableau[rows] -= tableau[rows, col][:, None] * tableau[row]
+    factors = tableau[rows, col][:, None]
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    tableau[row] /= pivot
+    tableau[rows] -= factors * tableau[row]
 
 
-def _iterate(tableau: np.ndarray, basis: list[int], n_cols: int) -> None:
+def _iterate(tableau: np.ndarray, basis: list[int], names: np.ndarray) -> None:
     n_rows = tableau.shape[0] - 1
     while True:
-        eligible = (tableau[-1, :n_cols] < -PIVOT_TOL).nonzero()[0]
+        eligible = (tableau[-1, :-1] < -PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return
-        enter = int(eligible[0])  # Bland: lowest eligible index
+        enter = int(eligible[names[eligible].argmin()])  # Bland: lowest eligible name
         column = tableau[:n_rows, enter]
         candidates = (column > PIVOT_TOL).nonzero()[0]
         if candidates.size == 0:
@@ -87,7 +106,7 @@ def _iterate(tableau: np.ndarray, basis: list[int], n_cols: int) -> None:
                 leave = i
                 best_ratio = ratio
         _pivot(tableau, leave, enter)
-        basis[leave] = enter
+        basis[leave], names[enter] = int(names[enter]), basis[leave]
 
 
 def solve(lp: LinearProgram) -> tuple[np.ndarray, float]:
@@ -105,41 +124,48 @@ def solve(lp: LinearProgram) -> tuple[np.ndarray, float]:
     a[flip] *= -1.0
     b[flip] *= -1.0
 
-    # phase 1: minimize the sum of one artificial variable per row
-    tableau = np.zeros((m + 1, n + m + 1))
+    # phase 1: minimize the sum of one artificial variable n + i per row i,
+    # all basic, so the slots hold the n real variables
+    tableau = np.zeros((m + 1, n + 1))
     tableau[:m, :n] = a
-    tableau[:m, n:n + m] = np.eye(m)
     tableau[:m, -1] = b
     tableau[m, :n] = -a.sum(axis=0)
     tableau[m, -1] = -b.sum()
+    names = np.arange(n)
     basis = list(range(n, n + m))
-    _iterate(tableau, basis, n + m)
+    _iterate(tableau, basis, names)
     if -tableau[m, -1] > PIVOT_TOL:
         raise LpInfeasibleError(
-            f"no feasible point: artificial residual {-tableau[m, -1]!r}"
+            f"no feasible point: artificial residual {float(-tableau[m, -1])!r}"
         )
 
     # pivot leftover artificials out; a row with no real pivot is redundant
+    real = names < n
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            usable = (np.abs(tableau[i, :n]) > PIVOT_TOL).nonzero()[0]
+            usable = ((np.abs(tableau[i, :-1]) > PIVOT_TOL) & real).nonzero()[0]
             if usable.size == 0:
                 continue
-            enter = int(usable[0])
+            enter = int(usable[names[usable].argmin()])
             _pivot(tableau, i, enter)
-            basis[i] = enter
+            basis[i], names[enter] = int(names[enter]), basis[i]
+            real[enter] = False  # the artificial that left holds it now
         keep.append(i)
 
+    # phase 2 keeps the kept rows and the slots of real variables
+    slots = real.nonzero()[0]
     rows = len(keep)
-    phase2 = np.zeros((rows + 1, n + 1))
-    phase2[:rows, :n] = tableau[keep, :n]
-    phase2[:rows, -1] = tableau[keep, -1]
+    kept = tableau[keep]
+    phase2 = np.zeros((rows + 1, slots.size + 1))
+    phase2[:rows, :-1] = kept[:, slots]
+    phase2[:rows, -1] = kept[:, -1]
+    names = names[slots]
     basis = [basis[i] for i in keep]
-    phase2[rows, :n] = c
+    phase2[rows, :-1] = c[names]
     for i, var in enumerate(basis):
         phase2[rows] -= c[var] * phase2[i]
-    _iterate(phase2, basis, n)
+    _iterate(phase2, basis, names)
 
     x = np.zeros(n)
     x[basis] = phase2[:rows, -1]

@@ -322,7 +322,11 @@ def test_ns_infeasible_exits_3(capsys, tmp_path):
     save_game(game, str(path))
     code, _, err = run_cli(capsys, "ns", "--game", str(path))
     assert code == 3
-    assert "infeasible" in err
+    assert err == (
+        "non-signalling problem infeasible: the infinite-cost pattern forces zeros "
+        "that no non-signalling behavior satisfies: no feasible point: "
+        "artificial residual 4.0\n"
+    )
 
 
 def test_ns_ignores_forbidden_entries_of_a_zero_weight_input(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from ns_games import captured_ns_lps, random_ns_games
 from scipy.optimize import linprog
 
-from ngcost import LinearProgram, LpInfeasibleError, LpUnboundedError, solve
+from ngcost import Game, LinearProgram, LpInfeasibleError, LpUnboundedError, solve
 from ngcost.simplex import PIVOT_TOL, RATIO_TIE_TOL, _pivot
 
 
@@ -177,7 +178,7 @@ def _ref_solve(lp, seen):
     _ref_iterate(tableau, basis, n + m, seen)
     if -tableau[m, -1] > PIVOT_TOL:
         raise LpInfeasibleError(
-            f"no feasible point: artificial residual {-tableau[m, -1]!r}"
+            f"no feasible point: artificial residual {float(-tableau[m, -1])!r}"
         )
     keep = []
     for i in range(m):
@@ -255,20 +256,33 @@ def _random_lps(seed, count):
     return lps
 
 
-def test_pivot_is_bitwise_equal_to_row_loop():
-    # sparse tableaux holding +0.0, -0.0 and negative entries: a rank-1 update
-    # over rows with a zero pivot-column entry would turn some -0.0 into +0.0
+def test_pivot_matches_row_loop_on_non_basic_columns():
+    # full tableaux with a basis of unit columns, holding +0.0, -0.0 and
+    # negative entries; the pivot on the non-basic columns alone must give
+    # the row loop's rhs bytes and, in every non-basic column, its nonzero
+    # pattern and nonzero bytes (only the signs of zeros may differ there)
     rng = np.random.default_rng(17)
     values = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 3.0])
     for _ in range(300):
-        shape = (int(rng.integers(2, 12)), int(rng.integers(2, 12)))
-        tableau = rng.choice(values, size=shape) * rng.choice([1.0, 0.7, -1.3], size=shape)
-        row, col = int(rng.integers(shape[0])), int(rng.integers(shape[1]))
-        tableau[row, col] = rng.choice([1.5, -2.0, 0.25])
-        expected = tableau.copy()
-        _ref_pivot(expected, row, col)
+        m, n_vars = int(rng.integers(1, 10)), int(rng.integers(2, 14))
+        m = min(m, n_vars - 1)
+        shape = (m + 1, n_vars + 1)
+        full = rng.choice(values, size=shape) * rng.choice([1.0, 0.7, -1.3], size=shape)
+        basis = rng.permutation(n_vars)[:m].tolist()
+        full[:, basis] = rng.choice([0.0, -0.0], size=(m + 1, m))
+        full[range(m), basis] = 1.0
+        names = np.array([j for j in range(n_vars) if j not in basis])
+        row, col = int(rng.integers(m)), int(rng.integers(names.size))
+        full[row, names[col]] = rng.choice([1.5, -2.0, 0.25])
+        tableau = full[:, np.append(names, -1)]
+        _ref_pivot(full, row, names[col])
         _pivot(tableau, row, col)
-        assert tableau.tobytes() == expected.tobytes()
+        names[col] = basis[row]
+        assert tableau[:, -1].tobytes() == full[:, -1].tobytes()
+        expected = full[:, names]
+        nonzero = expected != 0.0
+        assert np.array_equal(tableau[:, :-1] != 0.0, nonzero)
+        assert tableau[:, :-1][nonzero].tobytes() == expected[nonzero].tobytes()
 
 
 def test_vectorized_pivots_match_row_loop_on_random_lps():
@@ -311,3 +325,45 @@ def test_vectorized_pivots_match_row_loop_on_ns_lps(monkeypatch):
     assert seen["solved"] >= 25
     assert seen["inexact tie"] >= 1000
     assert seen["dropped row"] >= 200
+
+
+def _wide_ns_games(seed):
+    # 3x3x3x3, 4x4x3x3 and 5x5x2x2 games with 20-40% +inf entries: LPs of
+    # 45-105 rows, many of them redundant, at degenerate vertices.  All but
+    # every fourth game keep one deterministic strategy finite, and the last
+    # never plays two inputs, so their +inf entries pin nothing.
+    rng = np.random.default_rng(seed)
+    games = []
+    for k, shape in enumerate([(3, 3, 3, 3), (4, 4, 3, 3), (5, 5, 2, 2)] * 8):
+        n_s, n_t, n_a, n_b = shape
+        dist = rng.random((n_s, n_t)) + 0.5
+        cost = rng.integers(0, 4, size=shape).astype(float) if k % 2 else rng.random(shape)
+        forbidden = rng.random(shape) < 0.2 + 0.2 * rng.random()
+        if k % 4 != 3:
+            alpha, beta = rng.integers(n_a, size=n_s), rng.integers(n_b, size=n_t)
+            forbidden[np.arange(n_s)[:, None], np.arange(n_t), alpha[:, None], beta] = False
+        if k == 23:
+            dist[0, 1] = dist[n_s - 1, 0] = 0.0
+            forbidden[0, 1] = forbidden[n_s - 1, 0] = True
+        cost[forbidden] = math.inf
+        games.append(Game(*shape, dist / dist.sum(), cost))
+    return games
+
+
+def test_dictionary_pivots_match_row_loop_on_wide_ns_lps(monkeypatch):
+    lps = captured_ns_lps(monkeypatch, _wide_ns_games(23))
+    assert [lp.a_eq.shape[0] for lp in lps[:3]] == [45, 88, 105]
+    lps += [
+        # no rows: the origin, or a ray
+        LinearProgram([1.0, 2.0], np.zeros((0, 2)), []),
+        LinearProgram([-1.0, 2.0], np.zeros((0, 2)), []),
+        # no columns: every row redundant, or one infeasible
+        LinearProgram([], np.zeros((2, 0)), [0.0, 0.0]),
+        LinearProgram([], np.zeros((2, 0)), [0.0, -1.0]),
+        LinearProgram([], np.zeros((0, 0)), []),
+    ]
+    seen = _assert_same_as_reference(lps)
+    assert seen["solved"] >= 20
+    assert seen[LpInfeasibleError] >= 2 and seen[LpUnboundedError] == 1
+    assert seen["inexact tie"] >= 500
+    assert seen["dropped row"] >= 300
