@@ -7,30 +7,40 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 
 
+def _hermitian_part(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one Hermitian rule: (max|H - H^dag| <= HERMITIAN_TOL per matrix, (H + H^dag)/2)."""
+    H_dag = H.conj().swapaxes(-1, -2)
+    # a NaN or infinite entry makes the gap NaN or infinite, so one test refuses both
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            gap, part = np.abs(H - H_dag), (H + H_dag) / 2.0
+    except FloatingPointError:  # entries above half the largest float are halved first
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap, part = np.abs(H - H_dag), H / 2.0 + H_dag / 2.0
+    return np.max(gap, axis=(-2, -1)) <= HERMITIAN_TOL, part
+
+
 def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or a stack of them.
 
     Takes shape (..., d, d) and returns (w, v) with eigenvalues w[..., :]
     in ascending order and eigenvectors in the columns of v[..., :, :].
-    Every matrix must be square, finite and Hermitian within 1e-10
-    entrywise, an absolute test whatever the scale of the input; the
-    Hermitian average (H + H^dag)/2 is what gets decomposed, so tiny
-    asymmetries do not leak into the result.
+    Every matrix must be square, finite and Hermitian within 1e-10 entrywise,
+    an absolute test whatever the scale of the input and the one rule that
+    QuantumStrategy's POVMs follow too; the Hermitian part (H + H^dag)/2 is
+    what gets decomposed, so tiny asymmetries do not leak into the result.
     """
     H = np.asarray(mat, dtype=complex)
     if H.ndim < 2 or H.shape[-2] != H.shape[-1]:
         raise ValueError(f"herm_eig needs square matrices, got shape {H.shape}")
     if H.size == 0:
         raise ValueError("herm_eig needs a nonempty matrix")
-    H_dag = H.conj().swapaxes(-1, -2)
-    # a NaN or infinite entry makes the gap NaN or infinite, so one test refuses both
-    with np.errstate(invalid="ignore", over="ignore"):
-        gap = np.max(np.abs(H - H_dag))
-    if not gap <= HERMITIAN_TOL:
+    hermitian, part = _hermitian_part(H)
+    if not hermitian.all():
         if not np.isfinite(H).all():
             raise ValueError("herm_eig needs finite entries")
         raise ValueError("matrix is not Hermitian within 1e-10")
-    return np.linalg.eigh((H + H_dag) / 2.0)
+    return np.linalg.eigh(part)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -234,6 +234,28 @@ def test_quantum_rejects_huge_povm_entries_with_one_error_line(tmp_path):
         assert result.stderr.decode() == f"error: {message}\n", corrupt.__name__
 
 
+def test_quantum_scores_a_strategy_file_within_the_hermitian_rule(capsys, tmp_path):
+    # Alice's elements are 5e-11 i ones((4, 4)) off Hermitian, inside the
+    # 1e-10 rule; scored raw, p would carry an imaginary part of 2e-10
+    P = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    E = 5e-11j * np.ones((4, 4))
+    alice = np.array([[P + E, np.eye(4) - P - E]])
+    bob = np.array([[np.eye(1), np.zeros((1, 1))]], dtype=complex)
+    doc = {"d_a": 4, "d_b": 1, "state": [[0.5, 0.0]] * 4,
+           "alice_povms": np.stack((alice.real, alice.imag), axis=-1).tolist(),
+           "bob_povms": np.stack((bob.real, bob.imag), axis=-1).tolist()}
+    strategy = tmp_path / "skewed.json"
+    strategy.write_text(json.dumps(doc), encoding="utf-8")
+    game = tmp_path / "game.json"
+    save_game(Game(1, 1, 2, 2, [[1.0]], [[[[0.0, 1.0], [2.0, 3.0]]]]), str(game))
+    code, out, err = run_cli(capsys, "quantum", "--game", str(game),
+                             "--strategy", str(strategy), "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["behavior"] == [[[[0.5, 0.0], [0.5, 0.0]]]]
+    assert doc["cost"] == 1.0
+
+
 def test_seesaw_chsh(capsys):
     code, out, _ = run_cli(capsys, "seesaw", "--builtin", "chsh",
                            "--restarts", "8", "--seed", "1", "--json")
@@ -459,7 +481,7 @@ def test_negative_seed_is_refused_by_name(capsys, command):
     assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
-def test_sweep_identical_bytes_across_runs_and_threads(capsys, tmp_path):
+def test_sweep_identical_bytes_across_runs(capsys, tmp_path):
     args = ["sweep", "--phi-range", "0", "0.7", "2", "--w-range", "0.5", "1.5", "2",
             "--restarts", "3", "--seed", "4"]
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]

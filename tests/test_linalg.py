@@ -167,6 +167,14 @@ def test_herm_eig_checks_every_matrix_at_one_absolute_tolerance():
             herm_eig(bad)
 
 
+def test_herm_eig_decomposes_hermitian_matrices_whose_sum_with_the_adjoint_overflows():
+    # H + H^dag overflows here; the Hermitian part halves such entries first
+    w, _ = herm_eig(np.diag([1e308, 0.0]))
+    assert w.tolist() == [0.0, 1e308]
+    w, _ = herm_eig(np.array([[0.0, 1e308], [1e308, 0.0]]))
+    assert w.tolist() == [-1e308, 1e308]
+
+
 def test_herm_eig_refuses_a_small_non_hermitian_member_of_a_large_stack():
     # a large member no longer loosens the check of the others
     with pytest.raises(ValueError, match="not Hermitian"):

@@ -21,7 +21,9 @@ from ngcost import (
     strategy_from_dict,
     strategy_to_dict,
 )
-from ngcost.linalg import kron
+import ngcost.quantum
+from ngcost import herm_eig
+from ngcost.linalg import HERMITIAN_TOL, kron
 from ngcost.quantum import validate_strategy
 
 TSIRELSON_COST = (2.0 - math.sqrt(2.0)) / 4.0
@@ -234,6 +236,90 @@ def test_behavior_of_raises_on_invalid_strategy():
     qs = chsh_optimal_strategy()
     with pytest.raises(ValueError, match="norm"):
         behavior_of(QuantumStrategy(2, 2, qs.state * 2.0, qs.alice_povms, qs.bob_povms))
+
+
+def skewed_projector_strategy():
+    """Alice's elements are 5e-11 i ones((4, 4)) off Hermitian, inside the 1e-10 rule."""
+    P = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    E = 5e-11j * np.ones((4, 4))
+    return (4, 1, np.ones(4) / 2.0, [[P + E, np.eye(4) - P - E]], [[np.eye(1), np.zeros((1, 1))]])
+
+
+def test_behavior_of_scores_a_strategy_the_constructor_accepts():
+    # the constructor's Hermitian rule accepts this strategy; its score is that
+    # of the Hermitian parts, where the raw elements would give p an
+    # imaginary part of 2e-10
+    qs = QuantumStrategy(*skewed_projector_strategy())
+    assert behavior_of(qs).p.ravel().tolist() == [0.5, 0.0, 0.5, 0.0]
+
+
+@pytest.mark.parametrize("gap, passes", [(9e-11, True), (1.1e-10, False)])
+def test_herm_eig_and_strategies_follow_one_hermitian_rule(gap, passes):
+    assert HERMITIAN_TOL == 1e-10
+    skew = np.zeros((2, 2), dtype=complex)
+    skew[0, 1] = gap * 1j  # max|P - P^dag| is gap
+    P = np.diag([1.0, 0.0]) + skew
+    args = (2, 1, [1.0, 0.0], [[P, np.eye(2) - P]], [[np.eye(1), np.zeros((1, 1))]])
+    if passes:
+        herm_eig(P)
+        QuantumStrategy(*args)
+    else:
+        with pytest.raises(ValueError, match="^matrix is not Hermitian within 1e-10$"):
+            herm_eig(P)
+        assert construction_error(*args) == (
+            "alice element (0,0) is not Hermitian within 1e-10; "
+            "alice element (0,1) is not Hermitian within 1e-10")
+
+
+def test_strategy_stores_hermitian_parts_that_a_rebuild_keeps_bitwise(monkeypatch):
+    rng = np.random.default_rng(21)
+    strategies = [skewed_projector_strategy()]
+    for d in (2, 3):
+        noise = 1e-11j * rng.uniform(-1.0, 1.0, size=(d, d))
+        alice = np.array([random_povm(rng, d, 2) for _ in range(2)])
+        alice[:, 0] += noise + noise.T  # within the rule, kept off Hermitian
+        alice[:, 1] -= noise + noise.T
+        state = rng.normal(size=d) + 1j * rng.normal(size=d)
+        strategies.append((d, 1, state / np.linalg.norm(state), alice,
+                           [[np.eye(1), np.zeros((1, 1))]]))
+    # signed zeros: -0 on a diagonal's imaginary part and on a conjugate pair
+    signed = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    signed[:, 0, 1] = signed[:, 1, 0] = complex(-0.0, -0.0)
+    signed[0, 0, 0] = complex(1.0, -0.0)
+    strategies.append((2, 1, [1.0, 0.0], [signed], [[np.eye(1), np.zeros((1, 1))]]))
+    for args in strategies:
+        qs = QuantumStrategy(*args)
+        for raw, stored in ((args[3], qs.alice_povms), (args[4], qs.bob_povms)):
+            raw = np.asarray(raw, dtype=complex)
+            assert stored.tobytes() == ((raw + raw.conj().swapaxes(-1, -2)) / 2.0).tobytes()
+        again = QuantumStrategy(qs.d_a, qs.d_b, qs.state, qs.alice_povms, qs.bob_povms)
+        assert again.alice_povms.tobytes() == qs.alice_povms.tobytes()
+        assert again.bob_povms.tobytes() == qs.bob_povms.tobytes()
+
+    # exactly Hermitian elements are stored as given, even an odd subnormal
+    # that halving before adding would round
+    given = []
+    freeze = ngcost.quantum._freeze_povms
+    monkeypatch.setattr(ngcost.quantum, "_freeze_povms",
+                        lambda povms, name: given.append(freeze(povms, name)) or given[-1])
+    tiny = np.array([[0.0, 3 * 5e-324], [3 * 5e-324, 0.0]])
+    built = (chsh_optimal_strategy(), hardy_strategy(0.3), hardy_strategy(1.2),
+             QuantumStrategy(2, 1, [1.0, 0.0], [[np.diag([1.0, 0.0]) + tiny,
+                                                 np.diag([0.0, 1.0]) - tiny]],
+                             [[np.eye(1), np.zeros((1, 1))]]))
+    assert len(given) == 2 * len(built)
+    for qs, alice, bob in zip(built, given[::2], given[1::2]):
+        assert qs.alice_povms.tobytes() == alice.tobytes()
+        assert qs.bob_povms.tobytes() == bob.tobytes()
+
+
+def test_strategy_refuses_huge_hermitian_elements_that_sum_to_identity():
+    # each element's P + P^dag overflows; its eigenvalues are still those of P
+    huge = np.array([[0.0, 1e308], [1e308, 0.0]])
+    alice = [[np.eye(2) / 2.0 + huge, np.eye(2) / 2.0 - huge]]
+    assert construction_error(2, 1, [1.0, 0.0], alice, [[np.eye(1), np.zeros((1, 1))]]) == (
+        "alice element (0,0) has negative eigenvalue -1e+308; "
+        "alice element (0,1) has negative eigenvalue -1e+308")
 
 
 def test_behavior_validation():
