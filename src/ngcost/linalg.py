@@ -13,11 +13,12 @@ def _hermitian_part(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a NaN or infinite entry makes the gap NaN or infinite, so one test refuses both
     try:
         with np.errstate(over="raise", invalid="ignore"):
-            gap, part = np.abs(H - H_dag), (H + H_dag) / 2.0
+            gap, part = np.abs(H - H_dag), H + H_dag
+            part /= 2.0  # in place, bitwise (H + H_dag) / 2.0
     except FloatingPointError:  # entries above half the largest float are halved first
         with np.errstate(over="ignore", invalid="ignore"):
             gap, part = np.abs(H - H_dag), H / 2.0 + H_dag / 2.0
-    return np.max(gap, axis=(-2, -1)) <= HERMITIAN_TOL, part
+    return gap.max(axis=(-2, -1)) <= HERMITIAN_TOL, part
 
 
 def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -27,8 +28,9 @@ def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in ascending order and eigenvectors in the columns of v[..., :, :].
     Every matrix must be square, finite and Hermitian within 1e-10 entrywise,
     an absolute test whatever the scale of the input and the one rule that
-    QuantumStrategy's POVMs follow too; the Hermitian part (H + H^dag)/2 is
-    what gets decomposed, so tiny asymmetries do not leak into the result.
+    QuantumStrategy's POVMs follow too (_hermitian_part), applied to every
+    matrix of every call; the Hermitian part (H + H^dag)/2 is what gets
+    decomposed, so tiny asymmetries do not leak into the result.
     """
     H = np.asarray(mat, dtype=complex)
     if H.ndim < 2 or H.shape[-2] != H.shape[-1]:

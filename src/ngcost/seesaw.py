@@ -12,6 +12,11 @@ Each game's weighted cost table is divided by a power of two that brings
 its largest entry into [0.5, 1) before the see-saw runs on it, which is
 exact: herm_eig's absolute Hermitian check and NEGATIVE_EIG_TOL then act
 at that unit scale, whatever the game's costs.
+
+The restart loop checks its stacked table once per set of active entries
+(_CheckedTables), together with both parties' outcome gaps; a step given
+those checked tables checks only the shapes and batch axes of its other
+arguments.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .games import Game, _positive_int, _real
+from .games import Game, _frozen, _positive_int, _real
 # kron and the partial traces are no longer used here; they stay importable
 # from this module because benchmarks/tracer.py wraps them by name.
 from .linalg import herm_eig, kron, partial_trace_a, partial_trace_b  # noqa: F401
@@ -88,14 +94,17 @@ def _unit_scale(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(weights, -k), k.reshape(weights.shape[:-4])
 
 
-def _weights_of(game: Game | np.ndarray) -> tuple[np.ndarray, int]:
+def _weights_of(game: Game | np.ndarray | _CheckedTables) -> tuple[np.ndarray, int]:
     """A Game's weighted cost table at unit scale, or a stacked table as given.
 
     Returns (table, k): game._weights divided by 2**k (see _unit_scale),
     or a weighted cost table as a float array with k = 0.  Raises
     ValueError when a table has fewer than 4 axes or an entry that is not
     finite; +inf, an infinite cost of positive weight, asks for a cap.
+    Checked tables passed this test when built and are returned as held.
     """
+    if isinstance(game, _CheckedTables):
+        return game.weights, 0
     weights = game._weights if isinstance(game, Game) else np.asarray(game, dtype=float)
     if weights.ndim < 4:
         raise ValueError(f"weighted cost table has shape {weights.shape}, "
@@ -110,6 +119,31 @@ def _weights_of(game: Game | np.ndarray) -> tuple[np.ndarray, int]:
         weights, k = _unit_scale(weights)
         return weights, int(k)
     return weights, 0
+
+
+def _outcome_gap(weights: np.ndarray) -> np.ndarray:
+    # the first party's outcome 0 minus outcome 1: all a binary response reads
+    return weights[..., 0, :] - weights[..., 1, :]
+
+
+def _swap_parties(weights: np.ndarray) -> np.ndarray:
+    return weights.swapaxes(-4, -3).swapaxes(-2, -1)
+
+
+class _CheckedTables:
+    """A stacked weighted cost table that passed _weights_of, with both outcome gaps.
+
+    The steps take it like a Game but use it at the scale it is given and
+    skip the table check and the gap arithmetic.  The restart loop builds
+    one per set of active entries; it holds a read-only copy of the table.
+    """
+
+    __slots__ = ("weights", "alice_gap", "bob_gap")
+
+    def __init__(self, table: np.ndarray):
+        self.weights = _frozen(_weights_of(table)[0], float)
+        self.alice_gap = _outcome_gap(self.weights)
+        self.bob_gap = _outcome_gap(_swap_parties(self.weights))
 
 
 def _povm_stack(povms, n_inputs: int, n_outcomes: int, who: str) -> np.ndarray:
@@ -171,12 +205,12 @@ def optimal_state(game: Game | np.ndarray, alice_povms,
     return v[..., :, 0].copy(), (cost if cost.ndim else float(cost))
 
 
-def _best_response(weights: np.ndarray, psi: np.ndarray, other: np.ndarray) -> np.ndarray:
-    # weights[..., s, t, a, b] puts the responding party first; psi[..., i, m]
-    # is the state with the responder's index i first; other[..., t, b, k, m]
-    # holds the fixed party's POVMs.  The reduced operator for outcome a is
+def _best_response(gap: np.ndarray, psi: np.ndarray, other: np.ndarray) -> np.ndarray:
+    # gap[..., s, t, b] is _outcome_gap of the table weights[..., s, t, a, b]
+    # that puts the responding party first; psi[..., i, m] is the state with
+    # the responder's index i first; other[..., t, b, k, m] holds the fixed
+    # party's POVMs.  The reduced operator for outcome a is
     # R[s, a] = sum_{t,b} weights[s, t, a, b] psi other[t, b]^T psi^dag.
-    gap = weights[..., 0, :] - weights[..., 1, :]
     other_gap = np.einsum("...stb,...tbkm->...smk", gap, other)
     psi_dag = psi.conj().swapaxes(-1, -2)[..., None, :, :]
     delta = psi[..., None, :, :] @ other_gap @ psi_dag
@@ -186,8 +220,15 @@ def _best_response(weights: np.ndarray, psi: np.ndarray, other: np.ndarray) -> n
     p0 = neg @ v.conj().swapaxes(-1, -2)
     povms = np.empty(p0.shape[:-2] + (2,) + p0.shape[-2:], dtype=complex)
     povms[..., 0, :, :] = p0
-    np.subtract(np.eye(psi.shape[-2], dtype=complex), p0, out=povms[..., 1, :, :])
+    np.subtract(_identity(psi.shape[-2]), p0, out=povms[..., 1, :, :])
     return povms
+
+
+@cache
+def _identity(dim: int) -> np.ndarray:
+    eye = np.eye(dim, dtype=complex)
+    eye.flags.writeable = False
+    return eye
 
 
 def _checked_state(state, other: np.ndarray, who: str) -> np.ndarray:
@@ -217,7 +258,8 @@ def update_alice(game: Game | np.ndarray, state: np.ndarray, bob_povms) -> np.nd
     psi = _checked_state(state, B, "d_b")
     _require_batch(weights, psi.shape[:-1])
     psi = psi.reshape(psi.shape[:-1] + (-1, B.shape[-1]))
-    return _best_response(weights, psi, B)
+    gap = game.alice_gap if isinstance(game, _CheckedTables) else _outcome_gap(weights)
+    return _best_response(gap, psi, B)
 
 
 def update_bob(game: Game | np.ndarray, state: np.ndarray, alice_povms) -> np.ndarray:
@@ -235,7 +277,11 @@ def update_bob(game: Game | np.ndarray, state: np.ndarray, alice_povms) -> np.nd
     psi = _checked_state(state, A, "d_a")
     _require_batch(weights, psi.shape[:-1])
     psi = psi.reshape(psi.shape[:-1] + (A.shape[-1], -1)).swapaxes(-1, -2)
-    return _best_response(weights.swapaxes(-4, -3).swapaxes(-2, -1), psi, A)
+    if isinstance(game, _CheckedTables):
+        gap = game.bob_gap
+    else:
+        gap = _outcome_gap(_swap_parties(weights))
+    return _best_response(gap, psi, A)
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -268,28 +314,40 @@ def _run_stack(tables: np.ndarray, exponents: np.ndarray, config: SeesawConfig,
     starts[r].  tables[g] is game g's weighted cost table divided by
     2**exponents[g]; its tol is divided alike, so each entry stops where
     the unscaled game would, and costs are multiplied back at the end.
+    The active entries' rows live in compact arrays, and their tables are
+    checked once (_CheckedTables); the rows are written back to the whole
+    stack and both are rebuilt only when an entry stops.
     """
     n_games, restarts = len(tables), config.restarts
     state, alice, bob = (np.concatenate([part] * n_games) for part in starts)
-    weights = np.repeat(tables, restarts, axis=0)
-    tol = np.ldexp(config.tol, -np.repeat(exponents, restarts))
-    active = np.arange(n_games * restarts)
-    operator = game_operator(weights, alice, bob)
+    table = _CheckedTables(np.repeat(tables, restarts, axis=0))
+    operator = game_operator(table, alice, bob)
     cost = np.einsum("ri,rij,rj->r", state.conj(), operator, state).real
     traces = [[c] for c in cost.tolist()]
+    active = np.arange(n_games * restarts)
+    tol = np.ldexp(config.tol, -np.repeat(exponents, restarts))
+    wholes = (state, alice, bob, cost)
+    rows, active_traces = wholes, traces  # the active entries' rows and traces
     for _ in range(config.max_iters):
-        table, psi = weights[active], state[active]
-        new_alice = update_alice(table, psi, bob[active])
+        psi, _, now_bob, now_cost = rows
+        new_alice = update_alice(table, psi, now_bob)
         new_bob = update_bob(table, psi, new_alice)
         new_state, new_cost = optimal_state(table, new_alice, new_bob)
-        alice[active], bob[active], state[active] = new_alice, new_bob, new_state
-        for r, c in zip(active.tolist(), new_cost.tolist()):
-            traces[r].append(c)
-        improvement = cost[active] - new_cost
-        cost[active] = new_cost
-        active = active[improvement >= tol[active]]
+        for trace, c in zip(active_traces, new_cost.tolist()):
+            trace.append(c)
+        keep = now_cost - new_cost >= tol
+        rows = (new_state, new_alice, new_bob, new_cost)
+        if keep.all():
+            continue
+        for whole, part in zip(wholes, rows):
+            whole[active] = part
+        active, tol, rows = active[keep], tol[keep], tuple(part[keep] for part in rows)
         if active.size == 0:
             break
+        table = _CheckedTables(table.weights[keep])
+        active_traces = [traces[r] for r in active.tolist()]
+    for whole, part in zip(wholes, rows):
+        whole[active] = part
     reports = []
     for g, first in enumerate(range(0, n_games * restarts, restarts)):
         best = int(np.argmin(cost[first:first + restarts]))

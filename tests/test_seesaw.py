@@ -23,8 +23,8 @@ from ngcost import (
     update_bob,
 )
 from ngcost import seesaw
-from ngcost.linalg import kron, partial_trace_b
-from ngcost.quantum import validate_strategy
+from ngcost.linalg import herm_eig, kron, partial_trace_b
+from ngcost.quantum import QuantumStrategy, validate_strategy
 
 from qubit_oracle import qubit_grid_minimum
 
@@ -615,3 +615,151 @@ def test_seesaw_never_beats_ns_on_random_games():
         report = seesaw_upper_bound(g, SeesawConfig(seed=k, restarts=4))
         assert ns_lower_bound(g)[0] <= report.best_cost + 1e-6
         assert report.best_cost <= classical_cost(g)[0] + 1e-6
+
+
+def public_step_reports(games, config):
+    """_seesaw_stack's reports, from a plain loop over the public steps.
+
+    One raw stacked table holds every (game, restart) entry at unit scale;
+    each iteration gathers the active entries' rows afresh and runs
+    update_alice, update_bob and optimal_state on them.  An entry stops
+    when an iteration improves its cost by less than tol / 2**k, or after
+    max_iters iterations; costs and traces are multiplied back by 2**k.
+    """
+    tables, exponents = seesaw._unit_scale(np.array([game._weights for game in games]))
+    restarts = config.restarts
+    starts = [seesaw._random_start(config, tables.shape[1], tables.shape[2], r)
+              for r in range(restarts)]
+    state, alice, bob = (np.array([start[part] for _ in games for start in starts], dtype=complex)
+                         for part in range(3))
+    table = np.repeat(tables, restarts, axis=0)
+    tol = np.ldexp(config.tol, -np.repeat(exponents, restarts))
+    op = game_operator(table, alice, bob)
+    cost = np.einsum("ri,rij,rj->r", state.conj(), op, state).real
+    traces = [[c] for c in cost.tolist()]
+    active = np.arange(len(table))
+    for _ in range(config.max_iters):
+        new_alice = update_alice(table[active], state[active], bob[active])
+        new_bob = update_bob(table[active], state[active], new_alice)
+        new_state, new_cost = optimal_state(table[active], new_alice, new_bob)
+        alice[active], bob[active], state[active] = new_alice, new_bob, new_state
+        for r, c in zip(active.tolist(), new_cost.tolist()):
+            traces[r].append(c)
+        keep = cost[active] - new_cost >= tol[active]
+        cost[active] = new_cost
+        active = active[keep]
+        if active.size == 0:
+            break
+    reports = []
+    for g, k in enumerate(exponents.tolist()):
+        rows = slice(g * restarts, (g + 1) * restarts)
+        best = int(np.argmin(cost[rows]))
+        e = g * restarts + best
+        reports.append((math.ldexp(float(cost[e]), k), best,
+                        tuple(tuple(math.ldexp(c, k) for c in t) for t in traces[rows]),
+                        QuantumStrategy(config.d_a, config.d_b, state[e], alice[e], bob[e])))
+    return reports
+
+
+def assert_matches_public_steps(games, config):
+    reports = seesaw._seesaw_stack(games, config)
+    lengths = set()
+    for report, (cost, best, traces, strategy) in zip(reports, public_step_reports(games, config),
+                                                       strict=True):
+        assert report.best_cost == cost
+        assert report.best_restart == best
+        assert report.traces == traces  # tuple equality also compares lengths
+        for name in ("state", "alice_povms", "bob_povms"):
+            assert getattr(report.best_strategy, name).tobytes() == getattr(strategy, name).tobytes()
+        lengths |= {len(trace) - 1 for trace in traces}
+    return lengths
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (4, 4)])
+def test_restart_loop_matches_a_plain_loop_over_the_public_steps_bitwise(d_a, d_b):
+    # the slowest family game of the benchmark grid runs past max_iters; the
+    # others stop earlier, each at its own iteration; LARGE_COSTS have k != 0
+    games = family_grid([0.3, 0.859], [0.0, 1.0]) + HARDY_CAPS[:1] + LARGE_COSTS
+    config = SeesawConfig(d_a=d_a, d_b=d_b, restarts=3, max_iters=60, seed=1239691164)
+    lengths = assert_matches_public_steps(games, config)
+    assert config.max_iters in lengths and len(lengths) > 2
+
+
+@pytest.mark.parametrize("cap", [2, 7])
+def test_chunked_restart_loop_matches_a_plain_loop_over_the_public_steps_bitwise(monkeypatch, cap):
+    # cap 2 holds one game of 3 restarts per stack, 7 holds two
+    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", cap)
+    games = family_grid([0.859, 1.2], [0.0, 1.0]) + LARGE_COSTS
+    config = SeesawConfig(restarts=3, max_iters=80, seed=9)
+    assert config.max_iters in assert_matches_public_steps(games, config)
+
+
+def test_every_seesaw_matrix_passes_the_hermitian_rule(monkeypatch):
+    # herm_eig is called three times an iteration, on every active entry's
+    # response blocks (n_s for Alice, then n_t for Bob) and game operator
+    game, (d_a, d_b) = family_grid([0.3], [0.5])[0], (2, 3)
+    config = SeesawConfig(d_a=d_a, d_b=d_b, restarts=4, max_iters=40, seed=3)
+    calls = []
+
+    def recorded(mat):
+        calls.append(np.shape(mat))
+        return herm_eig(mat)
+
+    monkeypatch.setattr(seesaw, "herm_eig", recorded)
+    report = seesaw_upper_bound(game, config)
+    monkeypatch.undo()
+    assert_same_report(report, seesaw_upper_bound(game, config))
+    lengths = [len(trace) - 1 for trace in report.traces]
+    assert len(set(lengths)) > 1
+    assert len(calls) == 3 * max(lengths)
+    for i in range(max(lengths)):
+        active = sum(length > i for length in lengths)
+        assert calls[3 * i:3 * i + 3] == [(active, game.n_s, d_a, d_a), (active, game.n_t, d_b, d_b),
+                                          (active, d_a * d_b, d_a * d_b)]
+
+
+def step_bytes(result) -> list[bytes]:
+    return [np.asarray(part).tobytes() for part in (result if isinstance(result, tuple) else (result,))]
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3)])
+def test_steps_given_checked_tables_return_the_bytes_of_the_raw_table_and_the_game(d_a, d_b):
+    rng = np.random.default_rng(64)
+    # the last game's largest weighted cost, 0.63, is already at unit scale (k = 0)
+    unit = Game(2, 2, 2, 2, [[0.7, 0.1], [0.1, 0.1]], rng.uniform(0.0, 0.9, size=(2, 2, 2, 2)))
+    games = family_grid([0.3, 1.076], [0.0, 1.4]) + LARGE_COSTS + [unit]
+    owner = np.array([0, 1, 2, 3, 4, 5, 6, 1, 0])
+    size = len(owner)
+    states = rng.normal(size=(size, d_a * d_b)) + 1j * rng.normal(size=(size, d_a * d_b))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    alice, bob = _random_batch(rng, size, 2, d_a), _random_batch(rng, size, 2, d_b)
+    steps = ((game_operator, (alice, bob)), (update_alice, (states, bob)),
+             (update_bob, (states, alice)), (optimal_state, (alice, bob)))
+    table = seesaw._unit_scale(np.array([games[g]._weights for g in owner]))[0]
+    checked = seesaw._CheckedTables(table)
+    assert not checked.weights.flags.writeable
+    for step, args in steps:
+        assert step_bytes(step(checked, *args)) == step_bytes(step(table, *args))
+    # one shared table, as a Game gives it; game_operator and optimal_state
+    # multiply a Game's results back by 2**k, so they compare at k = 0 only
+    for game in games:
+        weights, k = seesaw._weights_of(game)
+        checked = seesaw._CheckedTables(weights)
+        for step, args in steps:
+            if k == 0 or step in (update_alice, update_bob):
+                assert step_bytes(step(checked, *args)) == step_bytes(step(game, *args))
+    assert k == 0
+
+
+@pytest.mark.parametrize("entry, message", [
+    (math.nan, "weighted cost table entries must be finite or \\+inf, got nan"),
+    (-math.inf, "weighted cost table entries must be finite or \\+inf, got -inf"),
+    (math.inf, "cap them first"),
+], ids=["nan", "minus-inf", "plus-inf"])
+def test_a_non_finite_table_cannot_become_checked_tables(entry, message):
+    table = np.array([0.25 * make_chsh_game().cost] * 2)
+    table[1, 1, 0, 0, 1] = entry
+    with pytest.raises(ValueError, match=message):
+        seesaw._CheckedTables(table)
+    with pytest.raises(ValueError, match="weighted cost table has shape"):
+        seesaw._CheckedTables(table[0, 0])
