@@ -23,6 +23,11 @@ import numpy as np
 
 INF_PROB_TOL = 1e-12
 DIST_SUM_TOL = 1e-12
+# The one floor for negative values: a strategy's POVM elements have eigenvalues
+# in about [-PSD_TOL, 1 + PSD_TOL], so a Born probability <psi|A x B|psi> is at
+# least -PSD_TOL * (1 + PSD_TOL); a Behavior clamps that, less 1e-12 for rounding, to 0
+PSD_TOL = 1e-10
+_PROB_FLOOR = -(PSD_TOL * (1.0 + PSD_TOL) + 1e-12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,9 +235,10 @@ def _problems(game: Game) -> list[str]:
 class Behavior:
     """Checked probability table p indexed by (s, t, a, b), copied and frozen.
 
-    Entries in [-1e-12, 0) are clamped to zero; anything more negative is
-    invalid, as are an empty axis, non-finite entries and a per-input row
-    that does not sum to 1 within 1e-9.  expected_cost scores nothing else.
+    Entries in [_PROB_FLOOR, 0), as any built strategy's Born rule gives,
+    are clamped to zero; anything more negative is invalid, as are an empty
+    axis, non-finite entries and a per-input row that does not sum to 1
+    within 1e-9.  expected_cost scores nothing else.
     """
 
     p: np.ndarray
@@ -246,7 +252,7 @@ class Behavior:
         if not np.isfinite(arr).all():
             raise ValueError("behavior has non-finite entries")
         low = float(arr.min())
-        if low < -1e-12:
+        if low < _PROB_FLOOR:
             raise ValueError(f"behavior has negative probability {low!r}")
         p = _frozen(np.clip(arr, 0.0, None), float)
         worst = float(np.max(np.abs(p.sum(axis=(2, 3)) - 1.0)))

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import (Behavior, Game, _check_document, _frozen, _positive_int, _read_json,
-                    _read_nested, _real, _write_json, expected_cost)
+from .games import (PSD_TOL, Behavior, Game, _check_document, _frozen, _positive_int,
+                    _read_json, _read_nested, _real, _write_json, expected_cost)
 # kron is no longer used here; it stays importable from this module because
 # benchmarks/tracer.py wraps it by name.
 from .linalg import _hermitian_part, kron  # noqa: F401
 
-PSD_TOL = 1e-10
 SUM_TOL = 1e-10
 NORM_TOL = 1e-10
 

@@ -13,10 +13,11 @@ its largest entry into [0.5, 1) before the see-saw runs on it, which is
 exact: herm_eig's absolute Hermitian check and NEGATIVE_EIG_TOL then act
 at that unit scale, whatever the game's costs.
 
-The restart loop checks its stacked table once per set of active entries
-(_CheckedTables), together with both parties' outcome gaps; a step given
-those checked tables checks only the shapes and batch axes of its other
-arguments.
+Every step admits its game through one check (_weights_of): a Game or a
+weighted cost table becomes _CheckedTables, the checked table with both
+parties' outcome gaps, and checked tables pass as they are.  The restart
+loop builds them once per set of active entries, so a step it calls
+checks only the shapes and batch axes of its other arguments.
 """
 
 from __future__ import annotations
@@ -94,56 +95,49 @@ def _unit_scale(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(weights, -k), k.reshape(weights.shape[:-4])
 
 
-def _weights_of(game: Game | np.ndarray | _CheckedTables) -> tuple[np.ndarray, int]:
-    """A Game's weighted cost table at unit scale, or a stacked table as given.
-
-    Returns (table, k): game._weights divided by 2**k (see _unit_scale),
-    or a weighted cost table as a float array with k = 0.  Raises
-    ValueError when a table has fewer than 4 axes or an entry that is not
-    finite; +inf, an infinite cost of positive weight, asks for a cap.
-    Checked tables passed this test when built and are returned as held.
-    """
-    if isinstance(game, _CheckedTables):
-        return game.weights, 0
-    weights = game._weights if isinstance(game, Game) else np.asarray(game, dtype=float)
-    if weights.ndim < 4:
-        raise ValueError(f"weighted cost table has shape {weights.shape}, "
-                         "expected (...,n_s,n_t,n_a,n_b)")
-    # +inf entries of zero-weight inputs are 0 in the table and need no cap
-    if not np.isfinite(weights).all():
-        bad = weights[np.isnan(weights) | np.isneginf(weights)]
-        if bad.size:
-            raise ValueError(f"weighted cost table entries must be finite or +inf, got {bad[0]}")
-        raise ValueError("game has infinite costs; cap them first (cap_infinities, or --cap)")
-    if isinstance(game, Game):
-        weights, k = _unit_scale(weights)
-        return weights, int(k)
-    return weights, 0
-
-
-def _outcome_gap(weights: np.ndarray) -> np.ndarray:
-    # the first party's outcome 0 minus outcome 1: all a binary response reads
-    return weights[..., 0, :] - weights[..., 1, :]
-
-
-def _swap_parties(weights: np.ndarray) -> np.ndarray:
-    return weights.swapaxes(-4, -3).swapaxes(-2, -1)
-
-
 class _CheckedTables:
-    """A stacked weighted cost table that passed _weights_of, with both outcome gaps.
+    """A weighted cost table, or a stack of them, that passed the one table check.
 
-    The steps take it like a Game but use it at the scale it is given and
-    skip the table check and the gap arithmetic.  The restart loop builds
-    one per set of active entries; it holds a read-only copy of the table.
+    Raises ValueError when the table has fewer than 4 axes or an entry that
+    is not finite; +inf, an infinite cost of positive weight, asks for a
+    cap.  Holds a read-only copy of the table and each party's outcome gap.
     """
 
     __slots__ = ("weights", "alice_gap", "bob_gap")
 
-    def __init__(self, table: np.ndarray):
-        self.weights = _frozen(_weights_of(table)[0], float)
-        self.alice_gap = _outcome_gap(self.weights)
-        self.bob_gap = _outcome_gap(_swap_parties(self.weights))
+    def __init__(self, table):
+        weights = np.asarray(table, dtype=float)
+        if weights.ndim < 4:
+            raise ValueError(f"weighted cost table has shape {weights.shape}, "
+                             "expected (...,n_s,n_t,n_a,n_b)")
+        # +inf entries of zero-weight inputs are 0 in the table and need no cap
+        if not np.isfinite(weights).all():
+            bad = weights[np.isnan(weights) | np.isneginf(weights)]
+            if bad.size:
+                raise ValueError(f"weighted cost table entries must be finite or +inf, got {bad[0]}")
+            raise ValueError("game has infinite costs; cap them first (cap_infinities, or --cap)")
+        self.weights = _frozen(weights, float)
+        # a party's outcome 0 minus outcome 1, on the table that puts that party
+        # first: all a binary response reads
+        swapped = self.weights.swapaxes(-4, -3).swapaxes(-2, -1)
+        self.alice_gap = self.weights[..., 0, :] - self.weights[..., 1, :]
+        self.bob_gap = swapped[..., 0, :] - swapped[..., 1, :]
+
+
+def _weights_of(game: Game | np.ndarray | _CheckedTables) -> tuple[_CheckedTables, int]:
+    """How every step admits its game: (checked tables, k).
+
+    A Game gives its weighted cost table divided by 2**k (see _unit_scale),
+    a weighted cost table or stack gives itself with k = 0, and checked
+    tables are handed back as they are, with k = 0.
+    """
+    if isinstance(game, _CheckedTables):
+        return game, 0
+    if not isinstance(game, Game):
+        return _CheckedTables(game), 0
+    # a table with a NaN or infinite entry keeps k = 0, so the check sees it as given
+    weights, k = _unit_scale(game._weights)
+    return _CheckedTables(weights), int(k)
 
 
 def _povm_stack(povms, n_inputs: int, n_outcomes: int, who: str) -> np.ndarray:
@@ -173,7 +167,8 @@ def game_operator(game: Game | np.ndarray, alice_povms, bob_povms) -> np.ndarray
     the scale it is given.  A Game's table is brought to unit scale and
     its operator multiplied back, which is exact.
     """
-    weights, k = _weights_of(game)
+    checked, k = _weights_of(game)
+    weights = checked.weights
     n_s, n_t, n_a, n_b = weights.shape[-4:]
     A = _povm_stack(alice_povms, n_s, n_a, "alice")
     B = _povm_stack(bob_povms, n_t, n_b, "bob")
@@ -198,18 +193,18 @@ def optimal_state(game: Game | np.ndarray, alice_povms,
     the eigensolve runs on a Game's table at unit scale, and the cost is
     multiplied back.
     """
-    # a stacked table goes to game_operator as given, checked there once
-    weights, k = _weights_of(game) if isinstance(game, Game) else (game, 0)
-    w, v = herm_eig(game_operator(weights, alice_povms, bob_povms))
+    checked, k = _weights_of(game)
+    w, v = herm_eig(game_operator(checked, alice_povms, bob_povms))
     cost = np.ldexp(w[..., 0], k) if k else w[..., 0].copy()
     return v[..., :, 0].copy(), (cost if cost.ndim else float(cost))
 
 
 def _best_response(gap: np.ndarray, psi: np.ndarray, other: np.ndarray) -> np.ndarray:
-    # gap[..., s, t, b] is _outcome_gap of the table weights[..., s, t, a, b]
-    # that puts the responding party first; psi[..., i, m] is the state with
-    # the responder's index i first; other[..., t, b, k, m] holds the fixed
-    # party's POVMs.  The reduced operator for outcome a is
+    # gap[..., s, t, b] is a _CheckedTables outcome gap, of the table
+    # weights[..., s, t, a, b] that puts the responding party first;
+    # psi[..., i, m] is the state with the responder's index i first;
+    # other[..., t, b, k, m] holds the fixed party's POVMs.  The reduced
+    # operator for outcome a is
     # R[s, a] = sum_{t,b} weights[s, t, a, b] psi other[t, b]^T psi^dag.
     other_gap = np.einsum("...stb,...tbkm->...smk", gap, other)
     psi_dag = psi.conj().swapaxes(-1, -2)[..., None, :, :]
@@ -250,16 +245,15 @@ def update_alice(game: Game | np.ndarray, state: np.ndarray, bob_povms) -> np.nd
     game is as in game_operator; a Game's table is brought to unit scale,
     so NEGATIVE_EIG_TOL is relative to its largest weighted cost.
     """
-    weights, _ = _weights_of(game)
-    n_s, n_t, n_a, n_b = weights.shape[-4:]
+    checked, _ = _weights_of(game)
+    n_s, n_t, n_a, n_b = checked.weights.shape[-4:]
     if n_a != 2:
         raise ValueError(f"measurement update needs n_a = 2, got {n_a}")
     B = _povm_stack(bob_povms, n_t, n_b, "bob")
     psi = _checked_state(state, B, "d_b")
-    _require_batch(weights, psi.shape[:-1])
+    _require_batch(checked.weights, psi.shape[:-1])
     psi = psi.reshape(psi.shape[:-1] + (-1, B.shape[-1]))
-    gap = game.alice_gap if isinstance(game, _CheckedTables) else _outcome_gap(weights)
-    return _best_response(gap, psi, B)
+    return _best_response(checked.alice_gap, psi, B)
 
 
 def update_bob(game: Game | np.ndarray, state: np.ndarray, alice_povms) -> np.ndarray:
@@ -269,19 +263,15 @@ def update_bob(game: Game | np.ndarray, state: np.ndarray, alice_povms) -> np.nd
     conventions of update_alice.  It is Alice's update on the game with
     the parties swapped.
     """
-    weights, _ = _weights_of(game)
-    n_s, n_t, n_a, n_b = weights.shape[-4:]
+    checked, _ = _weights_of(game)
+    n_s, n_t, n_a, n_b = checked.weights.shape[-4:]
     if n_b != 2:
         raise ValueError(f"measurement update needs n_b = 2, got {n_b}")
     A = _povm_stack(alice_povms, n_s, n_a, "alice")
     psi = _checked_state(state, A, "d_a")
-    _require_batch(weights, psi.shape[:-1])
+    _require_batch(checked.weights, psi.shape[:-1])
     psi = psi.reshape(psi.shape[:-1] + (A.shape[-1], -1)).swapaxes(-1, -2)
-    if isinstance(game, _CheckedTables):
-        gap = game.bob_gap
-    else:
-        gap = _outcome_gap(_swap_parties(weights))
-    return _best_response(gap, psi, A)
+    return _best_response(checked.bob_gap, psi, A)
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -374,8 +364,8 @@ def _seesaw_stack(games: Sequence[Game], config: SeesawConfig) -> list[SeesawRep
     shapes = sorted({game._weights.shape for game in games})
     if len(shapes) != 1:
         raise ValueError(f"games must share one shape, got {shapes or 'no game'}")
-    tables, _ = _weights_of(np.array([game._weights for game in games]))
-    tables, exponents = _unit_scale(tables)
+    checked, _ = _weights_of(np.array([game._weights for game in games]))
+    tables, exponents = _unit_scale(checked.weights)
     n_s, n_t, n_a, n_b = tables.shape[-4:]
     if n_a != 2 or n_b != 2:
         raise ValueError(f"see-saw handles binary answers only, got n_a={n_a}, n_b={n_b}")

@@ -6,6 +6,7 @@ import pytest
 
 from ngcost import (
     Behavior,
+    Game,
     QuantumStrategy,
     behavior_of,
     chsh_optimal_strategy,
@@ -557,6 +558,21 @@ def test_stacked_validation_matches_the_element_loop():
             seen[next(kind for kind in seen if kind in problem)] += 1
     assert valid >= 50
     assert min(seen.values()) >= 20, seen
+
+
+def test_every_strategy_that_builds_has_a_behavior():
+    # eigenvalues down to -PSD_TOL pass the strategy check, and the Born rule
+    # multiplies them by eigenvalues up to 1 + PSD_TOL; Behavior clamps both
+    tol = ngcost.quantum.PSD_TOL
+    slight = QuantumStrategy(1, 1, [1.0], [[[[1 + 5e-11]], [[-5e-11]]]], [[[[1.0]], [[0.0]]]])
+    edge = [[[[1 + tol]], [[-tol]]]]
+    worst = QuantumStrategy(1, 1, [1.0], edge, edge)
+    game = Game(1, 1, 2, 2, [[1.0]], [[[[0.0, 1.0], [1.0, 0.0]]]])
+    for qs in (slight, worst):
+        assert behavior_of(qs).p.min() == 0.0
+        assert evaluate_quantum_strategy(game, qs) == 0.0
+    with pytest.raises(ValueError, match="behavior has negative probability -1.1e-10"):
+        Behavior([[[[1.0 + 1.1e-10, -1.1e-10], [0.0, 0.0]]]])
 
 
 def test_strategy_construction_rejects_ragged_and_non_square_povms():

@@ -279,13 +279,40 @@ def test_optimal_state_and_update_alice_reject_nan_costs():
 def test_steps_refuse_every_non_finite_table_entry(entry, message):
     table = 0.25 * make_chsh_game().cost
     table[1, 0, 0, 1] = entry
+    games = [table]
+    if entry == math.inf:  # an uncapped Hardy game: +inf costs on inputs of positive weight
+        games.append(make_hardy_game(1.0))
+        assert np.isposinf(games[-1]._weights).any()
     alice, bob = chsh_measurements()
     state = np.full(4, 0.5, dtype=complex)
-    for step in (lambda: game_operator(table, alice, bob),
-                 lambda: optimal_state(table, alice, bob),
-                 lambda: update_alice(table, state, bob)):
-        with pytest.raises(ValueError, match=message):
-            step()
+    for game in games:
+        for step in (lambda: game_operator(game, alice, bob),
+                     lambda: optimal_state(game, alice, bob),
+                     lambda: update_alice(game, state, bob),
+                     lambda: update_bob(game, state, alice)):
+            with pytest.raises(ValueError, match=message):
+                step()
+
+
+def test_each_step_checks_its_game_once(monkeypatch):
+    checks = []
+    check = seesaw._CheckedTables.__init__
+
+    def counted(self, table):
+        checks.append(np.shape(table))
+        check(self, table)
+
+    monkeypatch.setattr(seesaw._CheckedTables, "__init__", counted)
+    game = make_family_game(FamilyParams(0.9, 1.4))
+    alice, bob = chsh_measurements()
+    state = np.full(4, 0.5, dtype=complex)
+    checked, _ = seesaw._weights_of(game)
+    for step, args in ((game_operator, (alice, bob)), (optimal_state, (alice, bob)),
+                       (update_alice, (state, bob)), (update_bob, (state, alice))):
+        for given, calls in ((game, 1), (game._weights, 1), (checked, 0)):
+            checks.clear()
+            step(given, *args)
+            assert checks == [(2, 2, 2, 2)] * calls, (step.__name__, type(given).__name__)
 
 
 def _random_batch(rng, size, n, dim):
@@ -492,6 +519,20 @@ def test_seesaw_zero_game_converges_immediately():
     assert report.best_cost == 0.0
     for trace in report.traces:
         assert len(trace) == 2  # initial cost plus a single converged round
+
+
+def test_an_improvement_of_exactly_tol_keeps_a_restart_going():
+    # the largest weighted cost, about 0.59, is at unit scale (k = 0), so the loop
+    # compares the trace's own costs against tol itself
+    cost = np.random.default_rng(64).uniform(0.0, 0.9, size=(2, 2, 2, 2))
+    game = Game(2, 2, 2, 2, [[0.7, 0.1], [0.1, 0.1]], cost)
+    assert seesaw._weights_of(game)[1] == 0
+    trace = seesaw_upper_bound(game, SeesawConfig(restarts=1, seed=5)).traces[0]
+    tie = trace[0] - trace[1]
+    assert tie > 0
+    tied = seesaw_upper_bound(game, SeesawConfig(restarts=1, seed=5, tol=tie)).traces[0]
+    # the first iteration improves by exactly tol, so the restart runs on
+    assert tied[:2] == trace[:2] and len(tied) > 2
 
 
 def test_seesaw_capped_hardy_beats_strategy_family_bound():
@@ -743,8 +784,7 @@ def test_steps_given_checked_tables_return_the_bytes_of_the_raw_table_and_the_ga
     # one shared table, as a Game gives it; game_operator and optimal_state
     # multiply a Game's results back by 2**k, so they compare at k = 0 only
     for game in games:
-        weights, k = seesaw._weights_of(game)
-        checked = seesaw._CheckedTables(weights)
+        checked, k = seesaw._weights_of(game)
         for step, args in steps:
             if k == 0 or step in (update_alice, update_bob):
                 assert step_bytes(step(checked, *args)) == step_bytes(step(game, *args))
