@@ -16,8 +16,9 @@ at that unit scale, whatever the game's costs.
 Every step admits its game through one check (_weights_of): a Game or a
 weighted cost table becomes _CheckedTables, the checked table with both
 parties' outcome gaps, and checked tables pass as they are.  The restart
-loop builds them once per set of active entries, so a step it calls
-checks only the shapes and batch axes of its other arguments.
+loop checks its games' tables once, before any iteration; each step it
+calls gets read-only rows of them and checks only the shapes and batch
+axes of its other arguments.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def _unit_scale(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each table of a stack divided by 2**k, with k = frexp(max|entry|)[1].
 
     Returns the tables, each with its largest |entry| in [0.5, 1), and the
-    exponents k, of shape weights.shape[:-4]; an all-zero table keeps
-    k = 0.  Dividing by a power of two changes only exponents: it is exact.
+    exponents k, of shape weights.shape[:-4]; k = 0 for a table that is all
+    zero or not finite, which a check then sees as given.  The division is exact.
     """
     largest = np.abs(weights).max(axis=(-4, -3, -2, -1), keepdims=True)
     k = np.frexp(largest)[1]
@@ -123,6 +124,13 @@ class _CheckedTables:
         self.alice_gap = self.weights[..., 0, :] - self.weights[..., 1, :]
         self.bob_gap = swapped[..., 0, :] - swapped[..., 1, :]
 
+    def take(self, rows) -> _CheckedTables:
+        """The given rows of the first axis, read-only like games._frozen, with no new check."""
+        taken = object.__new__(_CheckedTables)
+        for name in self.__slots__:
+            setattr(taken, name, _frozen(getattr(self, name)[rows], float))
+        return taken
+
 
 def _weights_of(game: Game | np.ndarray | _CheckedTables) -> tuple[_CheckedTables, int]:
     """How every step admits its game: (checked tables, k).
@@ -135,7 +143,6 @@ def _weights_of(game: Game | np.ndarray | _CheckedTables) -> tuple[_CheckedTable
         return game, 0
     if not isinstance(game, Game):
         return _CheckedTables(game), 0
-    # a table with a NaN or infinite entry keeps k = 0, so the check sees it as given
     weights, k = _unit_scale(game._weights)
     return _CheckedTables(weights), int(k)
 
@@ -296,29 +303,21 @@ def _random_start(config: SeesawConfig, n_s: int, n_t: int, restart: int):
     return state, alice, bob
 
 
-def _run_stack(tables: np.ndarray, exponents: np.ndarray, config: SeesawConfig,
-               starts) -> list[SeesawReport]:
-    """Every (game, restart) entry of a stack of unit-scale tables advanced together.
+def _run_stack(table: _CheckedTables, tol: np.ndarray, state: np.ndarray, alice: np.ndarray,
+               bob: np.ndarray, max_iters: int) -> list[list[float]]:
+    """Every entry of a stack advanced together; returns each entry's cost trace.
 
-    Entry g * restarts + r is restart r of tables[g], started from
-    starts[r].  tables[g] is game g's weighted cost table divided by
-    2**exponents[g]; its tol is divided alike, so each entry stops where
-    the unscaled game would, and costs are multiplied back at the end.
-    The active entries' rows live in compact arrays, and their tables are
-    checked once (_CheckedTables); the rows are written back to the whole
-    stack and both are rebuilt only when an entry stops.
+    Entry e runs from state[e], alice[e] and bob[e] on table row e until an
+    iteration improves its cost by less than tol[e], or for max_iters
+    iterations; its final rows are written back there and its trace ends
+    at its final cost.  The active entries' rows live in compact arrays.
     """
-    n_games, restarts = len(tables), config.restarts
-    state, alice, bob = (np.concatenate([part] * n_games) for part in starts)
-    table = _CheckedTables(np.repeat(tables, restarts, axis=0))
     operator = game_operator(table, alice, bob)
     cost = np.einsum("ri,rij,rj->r", state.conj(), operator, state).real
     traces = [[c] for c in cost.tolist()]
-    active = np.arange(n_games * restarts)
-    tol = np.ldexp(config.tol, -np.repeat(exponents, restarts))
-    wholes = (state, alice, bob, cost)
-    rows, active_traces = wholes, traces  # the active entries' rows and traces
-    for _ in range(config.max_iters):
+    active = np.arange(len(traces))
+    rows, active_traces = (state, alice, bob, cost), traces  # the active entries' rows and traces
+    for _ in range(max_iters):
         psi, _, now_bob, now_cost = rows
         new_alice = update_alice(table, psi, now_bob)
         new_bob = update_bob(table, psi, new_alice)
@@ -329,53 +328,54 @@ def _run_stack(tables: np.ndarray, exponents: np.ndarray, config: SeesawConfig,
         rows = (new_state, new_alice, new_bob, new_cost)
         if keep.all():
             continue
-        for whole, part in zip(wholes, rows):
+        for whole, part in zip((state, alice, bob), rows):
             whole[active] = part
         active, tol, rows = active[keep], tol[keep], tuple(part[keep] for part in rows)
         if active.size == 0:
             break
-        table = _CheckedTables(table.weights[keep])
-        active_traces = [traces[r] for r in active.tolist()]
-    for whole, part in zip(wholes, rows):
+        table = table.take(keep)
+        active_traces = [traces[e] for e in active.tolist()]
+    for whole, part in zip((state, alice, bob), rows):
         whole[active] = part
-    reports = []
-    for g, first in enumerate(range(0, n_games * restarts, restarts)):
-        best = int(np.argmin(cost[first:first + restarts]))
-        e, k = first + best, int(exponents[g])
-        best_strategy = QuantumStrategy(config.d_a, config.d_b, state[e], alice[e], bob[e])
-        reports.append(SeesawReport(
-            math.ldexp(float(cost[e]), k), best_strategy, best,
-            tuple(tuple(math.ldexp(c, k) for c in t) for t in traces[first:first + restarts])))
-    return reports
+    return traces
 
 
 def _seesaw_stack(games: Sequence[Game], config: SeesawConfig) -> list[SeesawReport]:
     """seesaw_upper_bound of each of a sequence of same-shape games, in order.
 
-    Every game is checked before any iteration runs, and its table is
-    brought to unit scale once (_unit_scale).  The random
-    starts depend only on config and the input counts, so they are
-    drawn once; then every (game, restart) pair advances as one entry of
-    a stack of whole games, as many as fit in _STACK_ENTRIES entries but
-    at least one.
-    Each entry keeps its own stopping rule, so every report equals that
-    of seesaw_upper_bound on its game alone.
+    The games' tables are brought to unit scale (_unit_scale) and checked
+    once, together, before any iteration runs.  Each stack of whole games,
+    as many as fit in _STACK_ENTRIES (game, restart) entries but at least
+    one, gives each entry its own row: its game's table, its restart's
+    start (drawn once for all games) and config.tol divided by its game's
+    2**k.  So every report equals that of seesaw_upper_bound on its game.
     """
     shapes = sorted({game._weights.shape for game in games})
     if len(shapes) != 1:
         raise ValueError(f"games must share one shape, got {shapes or 'no game'}")
-    checked, _ = _weights_of(np.array([game._weights for game in games]))
-    tables, exponents = _unit_scale(checked.weights)
+    tables, exponents = _unit_scale(np.array([game._weights for game in games]))
+    checked = _CheckedTables(tables)
     n_s, n_t, n_a, n_b = tables.shape[-4:]
     if n_a != 2 or n_b != 2:
         raise ValueError(f"see-saw handles binary answers only, got n_a={n_a}, n_b={n_b}")
-    starts = [_random_start(config, n_s, n_t, r) for r in range(config.restarts)]
+    restarts = config.restarts
+    starts = [_random_start(config, n_s, n_t, r) for r in range(restarts)]
     starts = [np.array(part, dtype=complex) for part in zip(*starts)]
-    per_stack = max(1, _STACK_ENTRIES // config.restarts)
+    per_stack = max(1, _STACK_ENTRIES // restarts) * restarts
+    entries = np.arange(len(games) * restarts)
     reports = []
-    for first in range(0, len(tables), per_stack):
-        chunk = slice(first, first + per_stack)
-        reports += _run_stack(tables[chunk], exponents[chunk], config, starts)
+    for first in range(0, len(entries), per_stack):
+        owner, restart = np.divmod(entries[first:first + per_stack], restarts)
+        state, alice, bob = (part[restart] for part in starts)
+        traces = _run_stack(checked.take(owner), np.ldexp(config.tol, -exponents[owner]),
+                            state, alice, bob, config.max_iters)
+        for g in range(0, len(traces), restarts):
+            game_traces, k = traces[g:g + restarts], int(exponents[owner[g]])
+            best = int(np.argmin([trace[-1] for trace in game_traces]))
+            e = g + best
+            strategy = QuantumStrategy(config.d_a, config.d_b, state[e], alice[e], bob[e])
+            scaled = tuple(tuple(math.ldexp(c, k) for c in trace) for trace in game_traces)
+            reports.append(SeesawReport(scaled[best][-1], strategy, best, scaled))
     return reports
 
 

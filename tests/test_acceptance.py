@@ -14,7 +14,6 @@ from ngcost import (
     FamilyParams,
     Game,
     SeesawConfig,
-    auto_cap,
     behavior_of,
     cap_infinities,
     chsh_optimal_strategy,

@@ -460,6 +460,83 @@ def test_grid_driver_on_a_grid_larger_than_the_stack():
         assert_value_matches_strategy(game, report)
 
 
+def test_a_grid_checks_its_tables_once_and_hands_the_steps_read_only_rows(monkeypatch):
+    checks, writable, stacks = [], [], []
+    check, run_stack = seesaw._CheckedTables.__init__, seesaw._run_stack
+
+    def counted(self, table):
+        checks.append(np.shape(table))
+        check(self, table)
+
+    def counted_stack(*args):
+        stacks.append(len(args[1]))
+        return run_stack(*args)
+
+    def read_only(step):
+        def wrapped(table, *args):
+            writable.extend(getattr(table, name).flags.writeable for name in table.__slots__)
+            return step(table, *args)
+        return wrapped
+
+    monkeypatch.setattr(seesaw._CheckedTables, "__init__", counted)
+    monkeypatch.setattr(seesaw, "_run_stack", counted_stack)
+    for step in (update_alice, update_bob, optimal_state):
+        monkeypatch.setattr(seesaw, step.__name__, read_only(step))
+    config = SeesawConfig(restarts=3, max_iters=80, seed=9)
+    # one sweep row, whose 9 entries stop at different iterations, as one
+    # stack; then a grid of 7 games in stacks of 2 games
+    row = family_grid([0.859], [0.0, 0.5, 1.0])
+    grid = family_grid([0.3, 1.2], [0.0, 1.0]) + HARDY_CAPS
+    for games, cap, n_stacks in ((row, seesaw._STACK_ENTRIES, 1), (grid, 7, 4)):
+        monkeypatch.setattr(seesaw, "_STACK_ENTRIES", cap)
+        for seen in (checks, writable, stacks):
+            seen.clear()
+        reports = seesaw._seesaw_stack(games, config)
+        assert checks == [(len(games), 2, 2, 2, 2)]
+        assert len(stacks) == n_stacks and sum(stacks) == len(games) * config.restarts
+        assert writable and not any(writable)
+        assert len({len(trace) for report in reports for trace in report.traces}) > 2
+
+
+def test_a_chunked_grid_refuses_an_uncapped_game_in_its_last_stack_before_any_iteration(
+        monkeypatch):
+    def never(*args):
+        raise AssertionError("update_alice ran before the refusal")
+
+    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", 3)
+    monkeypatch.setattr(seesaw, "update_alice", never)
+    games = family_grid([0.3, 1.2], [0.5, 1.0]) + [make_hardy_game(1.0)]
+    with pytest.raises(ValueError, match="cap them first"):
+        seesaw._seesaw_stack(games, SeesawConfig(restarts=3))
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (4, 4)])
+def test_each_entry_of_a_stack_runs_bitwise_as_it_would_alone(d_a, d_b):
+    # entries of different games in no particular order, each from its own
+    # start: restarts taken in reversed order
+    games = family_grid([0.859], [0.0, 1.0]) + HARDY_CAPS[:1] + LARGE_COSTS
+    config = SeesawConfig(d_a=d_a, d_b=d_b, restarts=3, max_iters=60, seed=5)
+    tables, exponents = seesaw._unit_scale(np.array([game._weights for game in games]))
+    checked = seesaw._CheckedTables(tables)
+    owner = np.array([3, 0, 4, 1, 2, 0, 4, 1])
+    starts = [seesaw._random_start(config, 2, 2, r) for r in reversed(range(len(owner)))]
+    state, alice, bob = (np.array(part, dtype=complex) for part in zip(*starts))
+    tol = np.ldexp(config.tol, -exponents[owner])
+    alone = []
+    for e in range(len(owner)):
+        rows = [part[e:e + 1].copy() for part in (state, alice, bob)]
+        (trace,) = seesaw._run_stack(checked.take(owner[e:e + 1]), tol[e:e + 1], *rows,
+                                     config.max_iters)
+        alone.append((trace, rows))
+    traces = seesaw._run_stack(checked.take(owner), tol, state, alice, bob, config.max_iters)
+    assert len(traces) == len(owner)
+    for e, (trace, rows) in enumerate(alone):
+        assert np.array(traces[e]).tobytes() == np.array(trace).tobytes()
+        for whole, part in zip((state, alice, bob), rows):
+            assert whole[e].tobytes() == part[0].tobytes()
+    assert len({len(trace) for trace in traces}) > 2
+
+
 def test_update_rejects_mismatched_batch_axes():
     rng = np.random.default_rng(58)
     g = make_chsh_game()
@@ -766,7 +843,7 @@ def step_bytes(result) -> list[bytes]:
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3)])
 def test_steps_given_checked_tables_return_the_bytes_of_the_raw_table_and_the_game(d_a, d_b):
     rng = np.random.default_rng(64)
-    # the last game's largest weighted cost, 0.63, is already at unit scale (k = 0)
+    # the last game's largest weighted cost, about 0.594, is already at unit scale (k = 0)
     unit = Game(2, 2, 2, 2, [[0.7, 0.1], [0.1, 0.1]], rng.uniform(0.0, 0.9, size=(2, 2, 2, 2)))
     games = family_grid([0.3, 1.076], [0.0, 1.4]) + LARGE_COSTS + [unit]
     owner = np.array([0, 1, 2, 3, 4, 5, 6, 1, 0])
