@@ -8,22 +8,19 @@ never increases, and the final value is a valid quantum upper bound.  In
 floating point a step can rise by rounding alone, by at most about
 2e-15 times the game's largest weighted cost max|pi C|.
 
-Each game's weighted cost table is divided by a power of two that brings
-its largest entry into [0.5, 1) before the see-saw runs on it, which is
-exact: herm_eig's absolute Hermitian check and NEGATIVE_EIG_TOL then act
-at that unit scale, whatever the game's costs.
-
 Every step admits its game through one check (_weights_of): a Game or a
-weighted cost table becomes _CheckedTables, the checked table with both
-parties' outcome gaps, and checked tables pass as they are.  The restart
-loop checks its games' tables once, before any iteration; each step it
-calls gets read-only rows of them and checks only the shapes and batch
-axes of its other arguments.
+weighted cost table becomes _CheckedTables, and checked tables pass as
+they are.  The check divides each table by the power of two that brings
+its largest entry into [0.5, 1), which is exact, and keeps the exponent:
+herm_eig's absolute Hermitian check and NEGATIVE_EIG_TOL then act at that
+unit scale, whatever the costs, and costs are multiplied back.  The
+restart loop checks its games' tables once, before any iteration; each
+step it calls gets read-only rows of them and checks only the shapes and
+batch axes of its other arguments.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -88,8 +85,8 @@ def _unit_scale(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each table of a stack divided by 2**k, with k = frexp(max|entry|)[1].
 
     Returns the tables, each with its largest |entry| in [0.5, 1), and the
-    exponents k, of shape weights.shape[:-4]; k = 0 for a table that is all
-    zero or not finite, which a check then sees as given.  The division is exact.
+    exponents k, of shape weights.shape[:-4]; k = 0 for an all-zero table.
+    The division is exact.
     """
     largest = np.abs(weights).max(axis=(-4, -3, -2, -1), keepdims=True)
     k = np.frexp(largest)[1]
@@ -101,10 +98,11 @@ class _CheckedTables:
 
     Raises ValueError when the table has fewer than 4 axes or an entry that
     is not finite; +inf, an infinite cost of positive weight, asks for a
-    cap.  Holds a read-only copy of the table and each party's outcome gap.
+    cap.  Holds, read-only, each table at unit scale (see _unit_scale), its
+    exponent k, of shape weights.shape[:-4], and each party's outcome gap.
     """
 
-    __slots__ = ("weights", "alice_gap", "bob_gap")
+    __slots__ = ("weights", "alice_gap", "bob_gap", "k")
 
     def __init__(self, table):
         weights = np.asarray(table, dtype=float)
@@ -117,34 +115,32 @@ class _CheckedTables:
             if bad.size:
                 raise ValueError(f"weighted cost table entries must be finite or +inf, got {bad[0]}")
             raise ValueError("game has infinite costs; cap them first (cap_infinities, or --cap)")
+        self._hold(*_unit_scale(weights))
+
+    def _hold(self, weights: np.ndarray, k: np.ndarray) -> None:
         self.weights = _frozen(weights, float)
         # a party's outcome 0 minus outcome 1, on the table that puts that party
         # first: all a binary response reads
         swapped = self.weights.swapaxes(-4, -3).swapaxes(-2, -1)
-        self.alice_gap = self.weights[..., 0, :] - self.weights[..., 1, :]
-        self.bob_gap = swapped[..., 0, :] - swapped[..., 1, :]
+        self.alice_gap = _frozen(self.weights[..., 0, :] - self.weights[..., 1, :], float)
+        self.bob_gap = _frozen(swapped[..., 0, :] - swapped[..., 1, :], float)
+        self.k = _frozen(k, int)
 
     def take(self, rows) -> _CheckedTables:
-        """The given rows of the first axis, read-only like games._frozen, with no new check."""
+        """The given rows of the first axis, held as checked tables are, with no new check."""
         taken = object.__new__(_CheckedTables)
-        for name in self.__slots__:
-            setattr(taken, name, _frozen(getattr(self, name)[rows], float))
+        taken._hold(self.weights[rows], self.k[rows])
         return taken
 
 
-def _weights_of(game: Game | np.ndarray | _CheckedTables) -> tuple[_CheckedTables, int]:
-    """How every step admits its game: (checked tables, k).
+def _weights_of(game: Game | np.ndarray | _CheckedTables) -> _CheckedTables:
+    """How every step admits its game: as checked tables, which pass as they are.
 
-    A Game gives its weighted cost table divided by 2**k (see _unit_scale),
-    a weighted cost table or stack gives itself with k = 0, and checked
-    tables are handed back as they are, with k = 0.
+    A Game gives its weighted cost table; a table or a stack gives itself.
     """
     if isinstance(game, _CheckedTables):
-        return game, 0
-    if not isinstance(game, Game):
-        return _CheckedTables(game), 0
-    weights, k = _unit_scale(game._weights)
-    return _CheckedTables(weights), int(k)
+        return game
+    return _CheckedTables(game._weights if isinstance(game, Game) else game)
 
 
 def _povm_stack(povms, n_inputs: int, n_outcomes: int, who: str) -> np.ndarray:
@@ -170,11 +166,17 @@ def game_operator(game: Game | np.ndarray, alice_povms, bob_povms) -> np.ndarray
     (..., n, outcomes, d, d) with equal leading batch axes give a stack
     of operators of shape (..., dA*dB, dA*dB).  game is one Game, shared
     by every batch entry, or a weighted cost table pi(s,t) C(a,b|s,t) of
-    shape (..., n_s, n_t, n_a, n_b), one table per batch entry, used at
-    the scale it is given.  A Game's table is brought to unit scale and
-    its operator multiplied back, which is exact.
+    shape (..., n_s, n_t, n_a, n_b), one table per batch entry.  The
+    operator is built on each table at unit scale and multiplied back,
+    which is exact.
     """
-    checked, k = _weights_of(game)
+    checked = _weights_of(game)
+    G = _unit_operator(checked, alice_povms, bob_povms)
+    # ldexp on the real and imaginary parts keeps even the signs of zeros
+    return np.ldexp(G.view(float), checked.k[..., None, None]).view(complex)
+
+
+def _unit_operator(checked: _CheckedTables, alice_povms, bob_povms) -> np.ndarray:
     weights = checked.weights
     n_s, n_t, n_a, n_b = weights.shape[-4:]
     A = _povm_stack(alice_povms, n_s, n_a, "alice")
@@ -185,9 +187,6 @@ def game_operator(game: Game | np.ndarray, alice_povms, bob_povms) -> np.ndarray
     d_a, d_b = A.shape[-1], B.shape[-1]
     bob_side = np.einsum("...stab,...tbkl->...sakl", weights, B)
     G = np.einsum("...saij,...sakl->...ikjl", A, bob_side)
-    if k:
-        # ldexp on the real and imaginary parts keeps even the signs of zeros
-        G = np.ldexp(G.view(float), k).view(complex)
     return G.reshape(A.shape[:-4] + (d_a * d_b, d_a * d_b))
 
 
@@ -197,12 +196,11 @@ def optimal_state(game: Game | np.ndarray, alice_povms,
 
     With batch axes the states have shape (..., dA*dB) and the costs
     come back as an array of shape (...).  game is as in game_operator:
-    the eigensolve runs on a Game's table at unit scale, and the cost is
-    multiplied back.
+    the eigensolve runs at unit scale, and the cost is multiplied back.
     """
-    checked, k = _weights_of(game)
-    w, v = herm_eig(game_operator(checked, alice_povms, bob_povms))
-    cost = np.ldexp(w[..., 0], k) if k else w[..., 0].copy()
+    checked = _weights_of(game)
+    w, v = herm_eig(_unit_operator(checked, alice_povms, bob_povms))
+    cost = np.ldexp(w[..., 0], checked.k)
     return v[..., :, 0].copy(), (cost if cost.ndim else float(cost))
 
 
@@ -249,10 +247,10 @@ def update_alice(game: Game | np.ndarray, state: np.ndarray, bob_povms) -> np.nd
     Returns an array of shape (..., n_s, 2, dA, dA) holding the projectors
     for outcomes 0 and 1 of every input; a state of shape (..., dA*dB) and
     Bob POVMs of shape (..., n_t, 2, dB, dB) update every batch entry.
-    game is as in game_operator; a Game's table is brought to unit scale,
-    so NEGATIVE_EIG_TOL is relative to its largest weighted cost.
+    game is as in game_operator; NEGATIVE_EIG_TOL is relative to each
+    table's largest weighted cost.
     """
-    checked, _ = _weights_of(game)
+    checked = _weights_of(game)
     n_s, n_t, n_a, n_b = checked.weights.shape[-4:]
     if n_a != 2:
         raise ValueError(f"measurement update needs n_a = 2, got {n_a}")
@@ -270,7 +268,7 @@ def update_bob(game: Game | np.ndarray, state: np.ndarray, alice_povms) -> np.nd
     conventions of update_alice.  It is Alice's update on the game with
     the parties swapped.
     """
-    checked, _ = _weights_of(game)
+    checked = _weights_of(game)
     n_s, n_t, n_a, n_b = checked.weights.shape[-4:]
     if n_b != 2:
         raise ValueError(f"measurement update needs n_b = 2, got {n_b}")
@@ -303,14 +301,15 @@ def _random_start(config: SeesawConfig, n_s: int, n_t: int, restart: int):
     return state, alice, bob
 
 
-def _run_stack(table: _CheckedTables, tol: np.ndarray, state: np.ndarray, alice: np.ndarray,
+def _run_stack(table: _CheckedTables, tol: float, state: np.ndarray, alice: np.ndarray,
                bob: np.ndarray, max_iters: int) -> list[list[float]]:
     """Every entry of a stack advanced together; returns each entry's cost trace.
 
     Entry e runs from state[e], alice[e] and bob[e] on table row e until an
-    iteration improves its cost by less than tol[e], or for max_iters
-    iterations; its final rows are written back there and its trace ends
-    at its final cost.  The active entries' rows live in compact arrays.
+    iteration improves its cost, at its game's scale, by less than tol, or
+    for max_iters iterations; its final rows are written back there and its
+    trace ends at its final cost.  The active entries' rows live in compact
+    arrays.
     """
     operator = game_operator(table, alice, bob)
     cost = np.einsum("ri,rij,rj->r", state.conj(), operator, state).real
@@ -330,7 +329,7 @@ def _run_stack(table: _CheckedTables, tol: np.ndarray, state: np.ndarray, alice:
             continue
         for whole, part in zip((state, alice, bob), rows):
             whole[active] = part
-        active, tol, rows = active[keep], tol[keep], tuple(part[keep] for part in rows)
+        active, rows = active[keep], tuple(part[keep] for part in rows)
         if active.size == 0:
             break
         table = table.take(keep)
@@ -343,19 +342,17 @@ def _run_stack(table: _CheckedTables, tol: np.ndarray, state: np.ndarray, alice:
 def _seesaw_stack(games: Sequence[Game], config: SeesawConfig) -> list[SeesawReport]:
     """seesaw_upper_bound of each of a sequence of same-shape games, in order.
 
-    The games' tables are brought to unit scale (_unit_scale) and checked
-    once, together, before any iteration runs.  Each stack of whole games,
-    as many as fit in _STACK_ENTRIES (game, restart) entries but at least
-    one, gives each entry its own row: its game's table, its restart's
-    start (drawn once for all games) and config.tol divided by its game's
-    2**k.  So every report equals that of seesaw_upper_bound on its game.
+    The games' tables are checked once, together, before any iteration
+    runs.  Each stack of whole games, as many as fit in _STACK_ENTRIES
+    (game, restart) entries but at least one, gives each entry its own row:
+    its game's checked table and its restart's start (drawn once for all
+    games).  So every report equals that of seesaw_upper_bound on its game.
     """
     shapes = sorted({game._weights.shape for game in games})
     if len(shapes) != 1:
         raise ValueError(f"games must share one shape, got {shapes or 'no game'}")
-    tables, exponents = _unit_scale(np.array([game._weights for game in games]))
-    checked = _CheckedTables(tables)
-    n_s, n_t, n_a, n_b = tables.shape[-4:]
+    checked = _CheckedTables(np.array([game._weights for game in games]))
+    n_s, n_t, n_a, n_b = checked.weights.shape[-4:]
     if n_a != 2 or n_b != 2:
         raise ValueError(f"see-saw handles binary answers only, got n_a={n_a}, n_b={n_b}")
     restarts = config.restarts
@@ -367,15 +364,13 @@ def _seesaw_stack(games: Sequence[Game], config: SeesawConfig) -> list[SeesawRep
     for first in range(0, len(entries), per_stack):
         owner, restart = np.divmod(entries[first:first + per_stack], restarts)
         state, alice, bob = (part[restart] for part in starts)
-        traces = _run_stack(checked.take(owner), np.ldexp(config.tol, -exponents[owner]),
-                            state, alice, bob, config.max_iters)
+        traces = _run_stack(checked.take(owner), config.tol, state, alice, bob, config.max_iters)
         for g in range(0, len(traces), restarts):
-            game_traces, k = traces[g:g + restarts], int(exponents[owner[g]])
+            game_traces = tuple(tuple(trace) for trace in traces[g:g + restarts])
             best = int(np.argmin([trace[-1] for trace in game_traces]))
             e = g + best
             strategy = QuantumStrategy(config.d_a, config.d_b, state[e], alice[e], bob[e])
-            scaled = tuple(tuple(math.ldexp(c, k) for c in trace) for trace in game_traces)
-            reports.append(SeesawReport(scaled[best][-1], strategy, best, scaled))
+            reports.append(SeesawReport(game_traces[best][-1], strategy, best, game_traces))
     return reports
 
 

@@ -306,7 +306,7 @@ def test_each_step_checks_its_game_once(monkeypatch):
     game = make_family_game(FamilyParams(0.9, 1.4))
     alice, bob = chsh_measurements()
     state = np.full(4, 0.5, dtype=complex)
-    checked, _ = seesaw._weights_of(game)
+    checked = seesaw._weights_of(game)
     for step, args in ((game_operator, (alice, bob)), (optimal_state, (alice, bob)),
                        (update_alice, (state, bob)), (update_bob, (state, alice))):
         for given, calls in ((game, 1), (game._weights, 1), (checked, 0)):
@@ -469,7 +469,7 @@ def test_a_grid_checks_its_tables_once_and_hands_the_steps_read_only_rows(monkey
         check(self, table)
 
     def counted_stack(*args):
-        stacks.append(len(args[1]))
+        stacks.append(len(args[2]))
         return run_stack(*args)
 
     def read_only(step):
@@ -516,19 +516,17 @@ def test_each_entry_of_a_stack_runs_bitwise_as_it_would_alone(d_a, d_b):
     # start: restarts taken in reversed order
     games = family_grid([0.859], [0.0, 1.0]) + HARDY_CAPS[:1] + LARGE_COSTS
     config = SeesawConfig(d_a=d_a, d_b=d_b, restarts=3, max_iters=60, seed=5)
-    tables, exponents = seesaw._unit_scale(np.array([game._weights for game in games]))
-    checked = seesaw._CheckedTables(tables)
+    checked = seesaw._CheckedTables(np.array([game._weights for game in games]))
     owner = np.array([3, 0, 4, 1, 2, 0, 4, 1])
     starts = [seesaw._random_start(config, 2, 2, r) for r in reversed(range(len(owner)))]
     state, alice, bob = (np.array(part, dtype=complex) for part in zip(*starts))
-    tol = np.ldexp(config.tol, -exponents[owner])
     alone = []
     for e in range(len(owner)):
         rows = [part[e:e + 1].copy() for part in (state, alice, bob)]
-        (trace,) = seesaw._run_stack(checked.take(owner[e:e + 1]), tol[e:e + 1], *rows,
+        (trace,) = seesaw._run_stack(checked.take(owner[e:e + 1]), config.tol, *rows,
                                      config.max_iters)
         alone.append((trace, rows))
-    traces = seesaw._run_stack(checked.take(owner), tol, state, alice, bob, config.max_iters)
+    traces = seesaw._run_stack(checked.take(owner), config.tol, state, alice, bob, config.max_iters)
     assert len(traces) == len(owner)
     for e, (trace, rows) in enumerate(alone):
         assert np.array(traces[e]).tobytes() == np.array(trace).tobytes()
@@ -603,7 +601,7 @@ def test_an_improvement_of_exactly_tol_keeps_a_restart_going():
     # compares the trace's own costs against tol itself
     cost = np.random.default_rng(64).uniform(0.0, 0.9, size=(2, 2, 2, 2))
     game = Game(2, 2, 2, 2, [[0.7, 0.1], [0.1, 0.1]], cost)
-    assert seesaw._weights_of(game)[1] == 0
+    assert seesaw._weights_of(game).k == 0
     trace = seesaw_upper_bound(game, SeesawConfig(restarts=1, seed=5)).traces[0]
     tie = trace[0] - trace[1]
     assert tie > 0
@@ -853,19 +851,70 @@ def test_steps_given_checked_tables_return_the_bytes_of_the_raw_table_and_the_ga
     alice, bob = _random_batch(rng, size, 2, d_a), _random_batch(rng, size, 2, d_b)
     steps = ((game_operator, (alice, bob)), (update_alice, (states, bob)),
              (update_bob, (states, alice)), (optimal_state, (alice, bob)))
-    table = seesaw._unit_scale(np.array([games[g]._weights for g in owner]))[0]
+    # a raw stack of tables off unit scale, each brought to it by the check
+    table = np.array([games[g]._weights for g in owner])
     checked = seesaw._CheckedTables(table)
-    assert not checked.weights.flags.writeable
+    assert not checked.weights.flags.writeable and checked.k.any()
     for step, args in steps:
         assert step_bytes(step(checked, *args)) == step_bytes(step(table, *args))
-    # one shared table, as a Game gives it; game_operator and optimal_state
-    # multiply a Game's results back by 2**k, so they compare at k = 0 only
+    # one shared table, as a Game gives it
     for game in games:
-        checked, k = seesaw._weights_of(game)
+        checked = seesaw._weights_of(game)
         for step, args in steps:
-            if k == 0 or step in (update_alice, update_bob):
-                assert step_bytes(step(checked, *args)) == step_bytes(step(game, *args))
-    assert k == 0
+            assert step_bytes(step(checked, *args)) == step_bytes(step(game, *args))
+    assert checked.k == 0
+
+
+@pytest.mark.parametrize("game", LARGE_COSTS, ids=["hardy-cap-1e9", "family-0.5-1e-8"])
+def test_steps_on_a_games_table_or_its_one_entry_stack_return_the_games_bytes(game):
+    # a raw table is brought to unit scale as its Game is, so herm_eig's
+    # absolute Hermitian check sees the same matrices whatever the costs
+    rng = np.random.default_rng(65)
+    for _ in range(3):
+        state = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state /= np.linalg.norm(state)
+        alice = np.array([random_projective(rng), random_projective(rng)])
+        bob = np.array([random_projective(rng), random_projective(rng)])
+        for step, args in ((game_operator, (alice, bob)), (update_alice, (state, bob)),
+                           (update_bob, (state, alice)), (optimal_state, (alice, bob))):
+            expected = step_bytes(step(game, *args))
+            assert step_bytes(step(game._weights, *args)) == expected, step.__name__
+            stacked = step(game._weights[None], *(arg[None] for arg in args))
+            parts = stacked if isinstance(stacked, tuple) else (stacked,)
+            assert step_bytes(tuple(part[0] for part in parts)) == expected, step.__name__
+
+
+def test_checked_tables_are_read_only_on_every_route_and_take_holds_a_fresh_checks_bytes(
+        monkeypatch):
+    built, stacks = [], []
+    check, run_stack = seesaw._CheckedTables.__init__, seesaw._run_stack
+
+    def recorded(self, table):
+        check(self, table)
+        built.append(self)
+
+    def recorded_stack(table, *args):
+        stacks.append(table)
+        return run_stack(table, *args)
+
+    monkeypatch.setattr(seesaw._CheckedTables, "__init__", recorded)
+    monkeypatch.setattr(seesaw, "_run_stack", recorded_stack)
+    games = family_grid([0.859], [0.0, 1.0]) + LARGE_COSTS
+    seesaw._seesaw_stack(games, SeesawConfig(restarts=2, max_iters=5, seed=1))
+    assert len(built) == 1 and len(stacks) == 1
+    raw = np.array([game._weights for game in games])
+    picks = (np.array([3, 0, 2, 3]), np.array([True, False, True, True]))
+    routes = {"game": seesaw._weights_of(games[2]), "table": seesaw._weights_of(raw[2]),
+              "stack": built[0], "stack rows": stacks[0]}
+    routes.update((f"take {rows}", built[0].take(rows)) for rows in picks)
+    for route, checked in routes.items():
+        for name in checked.__slots__:
+            assert not getattr(checked, name).flags.writeable, (route, name)
+    for rows in picks:
+        taken, fresh = built[0].take(rows), seesaw._CheckedTables(raw[rows])
+        for name in fresh.__slots__:
+            got, want = getattr(taken, name), getattr(fresh, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 @pytest.mark.parametrize("entry, message", [
