@@ -19,6 +19,7 @@ from .games import (
     Behavior,
     FamilyParams,
     Game,
+    _real,
     auto_cap,
     cap_infinities,
     expected_cost,
@@ -222,8 +223,8 @@ def _cmd_hardy_theta(args) -> int:
 
 def _grid(bounds: list[float], name: str, low: float, high: float) -> np.ndarray:
     start, stop, steps = bounds
-    if not math.isfinite(steps) or steps != int(steps) or steps < 1:
-        raise ValueError(f"{name} step count must be a positive integer, got {steps}")
+    steps = _real(steps, f"{name} step count", "positive integer",
+                  lambda x: x >= 1 and x.is_integer())
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"{name} start and stop must be finite, got {start} and {stop}")
     if not (low <= start <= stop <= high):

@@ -227,10 +227,9 @@ def _to_pairs(arr: np.ndarray) -> list:
 
 
 def _pair(value) -> complex:
-    if (not isinstance(value, list) or len(value) != 2 or
-            any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+    if not isinstance(value, list) or len(value) != 2:
         raise ValueError(value)
-    return complex(*value)
+    return complex(*(_real(v, "part", "real", lambda x: True) for v in value))  # NaN and inf too
 
 
 _PAIR = ("a [re, im] pair", _pair)  # leaf parser for games._read_nested

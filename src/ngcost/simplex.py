@@ -11,24 +11,27 @@ and a ratio within RATIO_TIE_TOL of it wins only with a lower basic index.
 The tableau is in dictionary form: one column (slot) per non-basic
 variable plus the right-hand side, with `names[k]` the variable in slot
 k.  Variables 0..n-1 are real and n..n+m-1 are phase 1's artificials,
-which start basic, so phase 1 starts with the n real variables in their
-own slots.  A basic variable's column in a full tableau is a unit vector
-that no pivot decision reads, so it is not stored.  On a pivot the
-leaving variable takes the entering variable's slot: its unit column is
-written there, then the ordinary pivot runs.  Phase 2 keeps the slots of
-real variables and the rows that were not dropped as redundant.
+which start basic; a basic variable's unit column is not stored.  On a
+pivot the leaving variable's unit column takes the entering variable's
+slot, then the ordinary pivot runs.  One tableau serves both phases: the
+m constraint rows, phase 2's cost row (c on the real slots), then phase
+1's objective, the last row, which the pivot loop prices.  The cost row
+rides along through phase 1 and the drive-out of leftover artificials;
+phase 2 is the slice of the kept rows and the cost row on the real slots
+and the right-hand side.
 
 A pivot divides the pivot row by the pivot entry, then subtracts
 t[r, col] * (pivot row) from every other row r whose pivot-column entry
-is nonzero, as one gathered rank-1 update.  Each entry gets exactly the
-floating-point operations of a row-by-row loop over a full tableau, so
-the pivots, the right-hand side, the optimal vertex, its value and every
-error message are the same bytes as there.  Only the sign of a zero in a
-non-basic column may differ (for instance, where a full tableau's unit
-column held -0.0, the one written here holds +0.0).  Every test on a
-coefficient (`!= 0.0`, `> PIVOT_TOL`, `< -PIVOT_TOL`, `abs`) treats +0.0
-and -0.0 alike, and a signed zero never turns a product or a difference
-nonzero, so it reaches no decision and no output.
+is nonzero, as one gathered rank-1 update that computes each row alone.
+Each entry gets exactly the floating-point operations of a row-by-row
+loop over a full tableau that rebuilds phase 2's cost row from c, so
+phase 1, the drive-out, and phase 2's constraint rows and right-hand
+side are the same bytes as there, but for the sign of a zero in a
+non-basic column, which no test on a coefficient tells apart.  The one
+place bytes could differ is phase 2's reduced costs: updated by every
+pivot here and rebuilt there, they can differ in the last bits, which
+moves a pivot only where one lies within rounding of -PIVOT_TOL.
+Otherwise the pivots, the vertex, its value and the errors are the same.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
 
 
 def _iterate(tableau: np.ndarray, basis: list[int], names: np.ndarray) -> None:
-    n_rows = tableau.shape[0] - 1
+    n_rows = len(basis)  # the cost rows below the constraints take no ratio test
     while True:
         eligible = (tableau[-1, :-1] < -PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
@@ -124,19 +127,22 @@ def solve(lp: LinearProgram) -> tuple[np.ndarray, float]:
     a[flip] *= -1.0
     b[flip] *= -1.0
 
-    # phase 1: minimize the sum of one artificial variable n + i per row i,
-    # all basic, so the slots hold the n real variables
-    tableau = np.zeros((m + 1, n + 1))
+    # one tableau through both phases: the constraint rows, phase 2's cost
+    # row, then phase 1's objective, the sum of one artificial variable
+    # n + i per row i; the artificials start basic, so the slots hold the n
+    # real variables and the cost row needs no pricing
+    tableau = np.zeros((m + 2, n + 1))
     tableau[:m, :n] = a
     tableau[:m, -1] = b
-    tableau[m, :n] = -a.sum(axis=0)
-    tableau[m, -1] = -b.sum()
+    tableau[m, :n] = c
+    tableau[-1, :n] = -a.sum(axis=0)
+    tableau[-1, -1] = -b.sum()
     names = np.arange(n)
     basis = list(range(n, n + m))
     _iterate(tableau, basis, names)
-    if -tableau[m, -1] > PIVOT_TOL:
+    if -tableau[-1, -1] > PIVOT_TOL:
         raise LpInfeasibleError(
-            f"no feasible point: artificial residual {float(-tableau[m, -1])!r}"
+            f"no feasible point: artificial residual {float(-tableau[-1, -1])!r}"
         )
 
     # pivot leftover artificials out; a row with no real pivot is redundant
@@ -153,21 +159,14 @@ def solve(lp: LinearProgram) -> tuple[np.ndarray, float]:
             real[enter] = False  # the artificial that left holds it now
         keep.append(i)
 
-    # phase 2 keeps the kept rows and the slots of real variables
+    # phase 2 is the kept rows and the cost row on the slots of real variables
     slots = real.nonzero()[0]
-    rows = len(keep)
-    kept = tableau[keep]
-    phase2 = np.zeros((rows + 1, slots.size + 1))
-    phase2[:rows, :-1] = kept[:, slots]
-    phase2[:rows, -1] = kept[:, -1]
+    phase2 = tableau[np.ix_(keep + [m], np.append(slots, n))]
     names = names[slots]
     basis = [basis[i] for i in keep]
-    phase2[rows, :-1] = c[names]
-    for i, var in enumerate(basis):
-        phase2[rows] -= c[var] * phase2[i]
     _iterate(phase2, basis, names)
 
     x = np.zeros(n)
-    x[basis] = phase2[:rows, -1]
+    x[basis] = phase2[:-1, -1]
     np.clip(x, 0.0, None, out=x)  # scrub -1e-16 round-off
     return x, float(c @ x)

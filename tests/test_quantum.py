@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -435,6 +436,20 @@ def test_strategy_from_dict_names_field_and_position(path, value, message):
     with pytest.raises(ValueError) as excinfo:
         strategy_from_dict(doc)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.float32, Fraction])
+def test_strategy_from_dict_reads_any_real_pair_part(kind):
+    # the game loader's rule: any real but a bool, so a numpy integer, a
+    # float32 or a Fraction part reads as its float
+    doc = strategy_to_dict(chsh_optimal_strategy())
+    doc["state"][0] = [kind(0), kind(0)]  # [0.0, 0.0]
+    doc["alice_povms"][0][0][0][0] = [kind(1), kind(0)]  # [1.0, 0.0]
+    floats = json.loads(json.dumps(doc, default=float))
+    assert isinstance(floats["state"][0][0], float)
+    got, expected = strategy_from_dict(doc), strategy_from_dict(floats)
+    for field in ("state", "alice_povms", "bob_povms"):
+        assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
 
 
 def test_strategy_from_dict_reads_any_number_of_inputs():

@@ -6,7 +6,8 @@ import pytest
 from ns_games import captured_ns_lps, random_ns_games
 from scipy.optimize import linprog
 
-from ngcost import Game, LinearProgram, LpInfeasibleError, LpUnboundedError, solve
+from ngcost import (FamilyParams, Game, LinearProgram, LpInfeasibleError, LpUnboundedError,
+                    auto_cap, cap_infinities, make_family_game, solve)
 from ngcost.simplex import PIVOT_TOL, RATIO_TIE_TOL, _pivot
 
 
@@ -317,10 +318,22 @@ def test_vectorized_pivots_match_row_loop_on_constructed_edge_cases():
     assert seen["dropped row"] == 3
 
 
+def _family_sweep_games():
+    # the benchmark's G(phi, w) grid: 32 midpoint phis with w = 0 capped at
+    # auto_cap, 0.5 and 1, plus w = 2
+    games = []
+    for phi in (np.arange(32) + 0.5) * (math.pi / 2) / 32:
+        hardy_like = make_family_game(FamilyParams(phi, 0.0))
+        games.append(cap_infinities(hardy_like, auto_cap(hardy_like)))
+        games += [make_family_game(FamilyParams(phi, w)) for w in (0.5, 1.0, 2.0)]
+    return games
+
+
 def test_vectorized_pivots_match_row_loop_on_ns_lps(monkeypatch):
     lps = captured_ns_lps(monkeypatch, random_ns_games(5, 30))
     # 2x2x2x2 has 4 + 4 + 4 constraint rows, 5x5x4x4 has 25 + 80 + 80
     assert (lps[0].a_eq.shape[0], lps[-1].a_eq.shape[0]) == (12, 185)
+    lps += captured_ns_lps(monkeypatch, _family_sweep_games())
     seen = _assert_same_as_reference(lps)
     assert seen["solved"] >= 25
     assert seen["inexact tie"] >= 1000
