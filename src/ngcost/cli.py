@@ -46,10 +46,7 @@ CAP_SWEEP_HEADER = "T,cap,classical,seesaw,ns,quantum_classical_gap"
 
 
 def _fmt(value: float) -> str:
-    value = float(value)
-    if math.isinf(value):
-        return "inf"
-    return repr(value)
+    return str(_jsonable(value))
 
 
 def _jsonable(value: float):

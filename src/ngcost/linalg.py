@@ -41,7 +41,7 @@ def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not hermitian.all():
         if not np.isfinite(H).all():
             raise ValueError("herm_eig needs finite entries")
-        raise ValueError("matrix is not Hermitian within 1e-10")
+        raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL}")
     return np.linalg.eigh(part)
 
 

@@ -17,7 +17,7 @@ from .games import (PSD_TOL, Behavior, Game, _check_document, _frozen, _positive
                     _read_json, _read_nested, _real, _write_json, expected_cost)
 # kron is no longer used here; it stays importable from this module because
 # benchmarks/tracer.py wraps it by name.
-from .linalg import _hermitian_part, kron  # noqa: F401
+from .linalg import HERMITIAN_TOL, _hermitian_part, kron  # noqa: F401
 
 SUM_TOL = 1e-10
 NORM_TOL = 1e-10
@@ -125,7 +125,7 @@ def validate_strategy(strategy: QuantumStrategy) -> list[str]:
                 problems.append(f"{side} element ({x},{k}) has non-finite entries")
         if not hermitian.all():
             for x, k in zip(*np.nonzero(~hermitian)):
-                problems.append(f"{side} element ({x},{k}) is not Hermitian within 1e-10")
+                problems.append(f"{side} element ({x},{k}) is not Hermitian within {HERMITIAN_TOL}")
         if (lowest < -PSD_TOL).any():
             for x, k in zip(*np.nonzero(hermitian & (lowest < -PSD_TOL))):
                 problems.append(

@@ -115,9 +115,7 @@ class _CheckedTables:
             if bad.size:
                 raise ValueError(f"weighted cost table entries must be finite or +inf, got {bad[0]}")
             raise ValueError("game has infinite costs; cap them first (cap_infinities, or --cap)")
-        self._hold(*_unit_scale(weights))
-
-    def _hold(self, weights: np.ndarray, k: np.ndarray) -> None:
+        weights, k = _unit_scale(weights)
         self.weights = _frozen(weights, float)
         # a party's outcome 0 minus outcome 1, on the table that puts that party
         # first: all a binary response reads
@@ -127,9 +125,14 @@ class _CheckedTables:
         self.k = _frozen(k, int)
 
     def take(self, rows) -> _CheckedTables:
-        """The given rows of the first axis, held as checked tables are, with no new check."""
+        """The given rows of each held array, read-only: gathered, with no check run.
+
+        Gaps are elementwise, so they hold the bytes a check of those rows would.
+        """
         taken = object.__new__(_CheckedTables)
-        taken._hold(self.weights[rows], self.k[rows])
+        for name in self.__slots__:
+            held = getattr(self, name)
+            setattr(taken, name, _frozen(held[rows], held.dtype))
         return taken
 
 
@@ -307,35 +310,31 @@ def _run_stack(table: _CheckedTables, tol: float, state: np.ndarray, alice: np.n
 
     Entry e runs from state[e], alice[e] and bob[e] on table row e until an
     iteration improves its cost, at its game's scale, by less than tol, or
-    for max_iters iterations; its final rows are written back there and its
-    trace ends at its final cost.  The active entries' rows live in compact
-    arrays.
+    for max_iters iterations; its trace ends at its final cost, and its final
+    rows are written to state[e], alice[e] and bob[e] once, when it stops.
+    The active entries' states, Bob rows and costs live in compact arrays.
     """
     operator = game_operator(table, alice, bob)
     cost = np.einsum("ri,rij,rj->r", state.conj(), operator, state).real
     traces = [[c] for c in cost.tolist()]
-    active = np.arange(len(traces))
-    rows, active_traces = (state, alice, bob, cost), traces  # the active entries' rows and traces
-    for _ in range(max_iters):
-        psi, _, now_bob, now_cost = rows
+    active, psi, now_bob = np.arange(len(traces)), state, bob
+    for i in range(1, max_iters + 1):
         new_alice = update_alice(table, psi, now_bob)
-        new_bob = update_bob(table, psi, new_alice)
-        new_state, new_cost = optimal_state(table, new_alice, new_bob)
-        for trace, c in zip(active_traces, new_cost.tolist()):
-            trace.append(c)
-        keep = now_cost - new_cost >= tol
-        rows = (new_state, new_alice, new_bob, new_cost)
+        now_bob = update_bob(table, psi, new_alice)
+        psi, new_cost = optimal_state(table, new_alice, now_bob)
+        for e, c in zip(active.tolist(), new_cost.tolist()):
+            traces[e].append(c)
+        keep = (cost - new_cost >= tol) & (i < max_iters)
+        cost = new_cost
         if keep.all():
             continue
-        for whole, part in zip((state, alice, bob), rows):
-            whole[active] = part
-        active, rows = active[keep], tuple(part[keep] for part in rows)
+        stop = ~keep
+        for whole, part in zip((state, alice, bob), (psi, new_alice, now_bob)):
+            whole[active[stop]] = part[stop]
+        active, psi, now_bob, cost = (part[keep] for part in (active, psi, now_bob, cost))
         if active.size == 0:
             break
         table = table.take(keep)
-        active_traces = [traces[e] for e in active.tolist()]
-    for whole, part in zip((state, alice, bob), rows):
-        whole[active] = part
     return traces
 
 

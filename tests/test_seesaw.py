@@ -801,6 +801,18 @@ def test_restart_loop_matches_a_plain_loop_over_the_public_steps_bitwise(d_a, d_
     assert config.max_iters in lengths and len(lengths) > 2
 
 
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("knob, lengths", [({"max_iters": 1}, {1}), ({"tol": 1.0}, {1, 2})],
+                         ids=["max-iters-1", "tol-1"])
+def test_restart_loop_matches_a_plain_loop_when_every_active_entry_stops_at_once(
+        d_a, d_b, knob, lengths):
+    # max_iters=1 stops every entry at the first iteration; tol=1.0 stops every
+    # unit-cost entry there and the LARGE_COSTS entries, the rest, at the second
+    games = family_grid([0.3, 0.859], [0.0, 1.0]) + HARDY_CAPS[:1] + LARGE_COSTS
+    config = SeesawConfig(d_a=d_a, d_b=d_b, restarts=3, seed=1239691164, **knob)
+    assert assert_matches_public_steps(games, config) == lengths
+
+
 @pytest.mark.parametrize("cap", [2, 7])
 def test_chunked_restart_loop_matches_a_plain_loop_over_the_public_steps_bitwise(monkeypatch, cap):
     # cap 2 holds one game of 3 restarts per stack, 7 holds two
