@@ -6,13 +6,18 @@ response function is fixed, the cost separates over the other party's
 inputs, and that party best-responds input by input (the local-bound
 trick; see Brierley, Navascues & Vertesi, arXiv:1609.05011).  So only the
 party with fewer strategies is enumerated, Alice's n_a**n_s or Bob's
-n_b**n_t, and ENUMERATION_LIMIT applies to that party alone.  Value and
-witness still equal those of a scan over every pair of strategies.
+n_b**n_t, and ENUMERATION_LIMIT applies to that party alone.
+
+strategy_cost adds a pair's terms in the enumeration's order: over the
+enumerated party's inputs inside, then over the responding party's inputs
+left to right.  Rounded addition is monotone in each operand, so the
+per-input best response gives each enumerated row its least float total,
+and the least total over rows is exactly the least strategy_cost over all
+pairs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +50,14 @@ def strategy_cost(game: Game, strategy: DeterministicStrategy) -> float:
     """Average cost of a deterministic strategy; may be +inf.
 
     Inputs with zero weight contribute nothing even when they hit an
-    infinite cost entry.  Answers must be integers (numpy integers too,
-    bool not) inside the answer alphabet; anything else raises ValueError.
+    infinite cost entry.  The terms are added in the enumeration's order,
+    each sum from +0.0: over the enumerated party's inputs (Alice's when
+    n_a**n_s <= n_b**n_t, else Bob's), then over the other party's inputs
+    left to right.  So the result may differ in the last bits from a sum in
+    (s, t) order.
+
+    Raises ValueError unless the answers are integers (numpy integers too,
+    bool not) inside the answer alphabet, one per input.
     """
     alpha, beta = strategy.alpha, strategy.beta
     for name, answers, n_inputs, n_answers in (("alpha", alpha, game.n_s, game.n_a),
@@ -59,7 +70,40 @@ def strategy_cost(game: Game, strategy: DeterministicStrategy) -> float:
             if not 0 <= x < n_answers:
                 raise ValueError(f"{name}[{i}]={x} outside answer alphabet of size {n_answers}")
 
-    return float(_pair_costs(game._weights, np.array([alpha + beta], dtype=np.int64))[0])
+    enumerate_alice, table = _table(game)
+    own, other = (alpha, beta) if enumerate_alice else (beta, alpha)
+    partial = _partial_costs(table, np.array([own], dtype=np.int64))[0]
+    return float(_total(partial[np.arange(len(other)), list(other)]))
+
+
+def _table(game: Game) -> tuple[bool, np.ndarray]:
+    """Whether Alice is the enumerated party (she has no more strategies than
+    Bob), and table[x, u, y, v]: the weighted cost when the enumerated party
+    answers u to input x and the responding party v to input y."""
+    enumerate_alice = game.n_a ** game.n_s <= game.n_b ** game.n_t
+    weighted = game._weights
+    return enumerate_alice, (weighted.transpose(0, 2, 1, 3) if enumerate_alice
+                             else weighted.transpose(1, 3, 0, 2))
+
+
+def _partial_costs(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """partial[k, y, v]: row k's terms at responding input y and answer v,
+    added over the enumerated party's inputs in order, from +0.0."""
+    partial = np.zeros((len(rows),) + table.shape[2:])
+    for x in range(table.shape[0]):
+        partial += table[x, rows[:, x]]
+    return partial
+
+
+def _total(terms: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, left to right from +0.0.
+
+    numpy's own sum is pairwise from 8 terms on, which reorders the additions.
+    """
+    total = np.zeros(terms.shape[:-1])
+    for y in range(terms.shape[-1]):
+        total += terms[..., y]
+    return total
 
 
 def _strategy_rows(start: int, stop: int, n_inputs: int, n_answers: int) -> np.ndarray:
@@ -77,103 +121,24 @@ def _first_minimum(values: np.ndarray, pairs: np.ndarray) -> tuple[float, tuple[
     return low, tuple(hits[0].tolist())
 
 
-def _near_pairs(rows: np.ndarray, near: np.ndarray, chunk: int):
-    """Each row k of rows joined with every response that answers each input y
-    with some v where near[k, y, v] holds.
-
-    Yields (rows, responses) arrays, one pair per row, at most chunk pairs
-    at a time, so memory stays bounded however many pairs are near.
-    """
-    counts = near.sum(axis=2)
-    sizes = counts.prod(axis=1)
-    # answers[k, y, j]: the j-th near answer of row k at input y, ascending
-    answers = np.argsort(~near, axis=2, kind="stable")
-    ends = np.cumsum(sizes)
-    for first in range(0, int(ends[-1]), chunk):
-        index = np.arange(first, min(first + chunk, int(ends[-1])))
-        k = np.searchsorted(ends, index, side="right")
-        local = index - (ends[k] - sizes[k])
-        responses = np.empty((index.size, near.shape[1]), dtype=np.int64)
-        for y in range(near.shape[1] - 1, -1, -1):
-            responses[:, y] = answers[k, y, local % counts[k, y]]
-            local //= counts[k, y]
-        yield rows[k], responses
-
-
-def _pair_costs(weighted: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Cost of every (alpha + beta) row, its terms added in (s, t) order: strategy_cost's sum."""
-    n_s, n_t, _, n_b = weighted.shape
-    cells = weighted.reshape(n_s, n_t, -1)
-    alpha = np.ascontiguousarray(pairs[:, :n_s].T) * n_b
-    beta = np.ascontiguousarray(pairs[:, n_s:].T)
-    total = np.zeros(len(pairs))
-    for s in range(n_s):
-        for t in range(n_t):
-            total += cells[s, t].take(alpha[s] + beta[t])
-    return total
-
-
-def _best_pair(game: Game, enumerate_alice: bool) -> tuple[int, ...] | None:
-    """The lexicographically first (alpha + beta) of least strategy_cost.
-
-    Pairs are scored on game._weights.  One party's strategies are
-    enumerated; for each, the other party's best response takes, input
-    by input, the answer of least summed cost.
-    Summed in this order a pair's cost can differ by a few ulps from
-    strategy_cost, which adds in (s, t) order, so the pairs within a
-    rounding bound of the least are re-scored in strategy_cost's order,
-    as arrays.  That keeps the witness exactly that of a scan over all
-    pairs.  Returns None when every pair costs +inf.
-    """
-    weighted = game._weights
-    n_s, n_t = weighted.shape[:2]
-    # table[x, u, y, v]: the enumerated party answers u to input x, the other v to y
-    table = weighted.transpose(0, 2, 1, 3) if enumerate_alice else weighted.transpose(1, 3, 0, 2)
+def _best_pair(game: Game) -> tuple[float, tuple[int, ...]]:
+    """The least strategy_cost and the lexicographically first (alpha + beta)
+    attaining it whose responding party gives, at each input, its first
+    answer of least partial cost."""
+    enumerate_alice, table = _table(game)
     n_x, n_u, n_y, n_v = table.shape
-    # Two summation orders of a pair's n_s*n_t terms differ by at most about
-    # 2 * n_s*n_t * 2**-53 times the sum of the terms' magnitudes.  A pair
-    # that may cost no more than the best under strategy_cost lies within
-    # four such errors of the least sum, in total and at every input of the
-    # responding party; tol adds a margin of 2.  With tol 0 every finite
-    # term is 0, so all sums are exact and no pair needs re-scoring.
-    magnitude = np.where(np.isinf(weighted), 0.0, np.abs(weighted)).max(axis=(2, 3)).sum()
-    tol = n_s * n_t * 2.0**-49 * float(magnitude)
     block = max(1, _BLOCK_ENTRIES // (n_y * n_v))
-    pair_chunk = max(1, _BLOCK_ENTRIES // (n_s + n_t))
     n_rows = n_u ** n_x
-    low, best, near_pairs = math.inf, None, 0.0
+    best = None
     for start in range(0, n_rows, block):
         rows = _strategy_rows(start, min(start + block, n_rows), n_x, n_u)
-        partial = table[0, rows[:, 0]]
-        for x in range(1, n_x):
-            partial += table[x, rows[:, x]]
-        least = partial.min(axis=2)
-        costs = least.sum(axis=1)
-        low = min(low, float(costs.min()))
-        if tol == 0:
-            # argmin takes the first of equal answers: the first best response
-            responses = partial.argmin(axis=2)
-            pairs = np.hstack((rows, responses) if enumerate_alice else (responses, rows))
-            candidate = _first_minimum(costs, pairs)
-            best = candidate if best is None else min(best, candidate)
-            continue
-        if low == math.inf:
-            continue
-        window = np.flatnonzero(costs <= low + tol)
-        if window.size == 0:
-            continue
-        near = partial[window] <= least[window, :, None] + tol
-        near_pairs += near.sum(axis=2).prod(axis=1, dtype=float).sum()
-        if near_pairs > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"{near_pairs:.0f} strategy pairs within rounding of the minimum exceed "
-                f"the enumeration limit {ENUMERATION_LIMIT}"
-            )
-        for own, responses in _near_pairs(rows[window], near, pair_chunk):
-            pairs = np.hstack((own, responses) if enumerate_alice else (responses, own))
-            candidate = _first_minimum(_pair_costs(weighted, pairs), pairs)
-            best = candidate if best is None else min(best, candidate)
-    return None if best is None or best[0] == math.inf else best[1]
+        partial = _partial_costs(table, rows)
+        # argmin takes the first of equal answers: the first best response
+        responses = partial.argmin(axis=2)
+        pairs = np.hstack((rows, responses) if enumerate_alice else (responses, rows))
+        candidate = _first_minimum(_total(partial.min(axis=2)), pairs)
+        best = candidate if best is None else min(best, candidate)
+    return best
 
 
 def classical_cost(game: Game) -> tuple[float, DeterministicStrategy]:
@@ -181,14 +146,14 @@ def classical_cost(game: Game) -> tuple[float, DeterministicStrategy]:
 
     Only one party's deterministic strategies are enumerated, the side
     with fewer of them (Alice's on a tie), while the other party
-    best-responds input by input.  Value and witness are those of a scan
-    over all (alpha, beta) in lexicographic order: the least
-    strategy_cost, and the first pair attaining it, or the all-zeros pair
-    when every pair costs +inf.
+    best-responds input by input.  The value is the least strategy_cost
+    over all (alpha, beta).  The witness is the lexicographically first
+    least-cost pair whose responding party gives its first best answer at
+    each input, or the all-zeros pair when every pair costs +inf; the
+    value is bitwise that witness's strategy_cost.
 
     Raises ValueError when both parties have more than ENUMERATION_LIMIT
-    (10**8) strategies, or when more than that many pairs lie within
-    rounding of the minimum.
+    (10**8) strategies.
     """
     n_alpha, n_beta = game.n_a ** game.n_s, game.n_b ** game.n_t
     if min(n_alpha, n_beta) > ENUMERATION_LIMIT:
@@ -196,8 +161,7 @@ def classical_cost(game: Game) -> tuple[float, DeterministicStrategy]:
             f"Alice has {n_alpha} and Bob {n_beta} deterministic strategies; "
             f"both exceed the enumeration limit {ENUMERATION_LIMIT}"
         )
-    pair = _best_pair(game, enumerate_alice=n_alpha <= n_beta)
-    if pair is None:
+    value, pair = _best_pair(game)
+    if value == np.inf:
         pair = (0,) * (game.n_s + game.n_t)
-    witness = DeterministicStrategy(pair[:game.n_s], pair[game.n_s:])
-    return strategy_cost(game, witness), witness
+    return value, DeterministicStrategy(pair[:game.n_s], pair[game.n_s:])

@@ -44,18 +44,24 @@ def test_strategy_cost_skips_zero_weight_inputs():
 
 
 def loop_strategy_cost(game, strategy):
-    """strategy_cost as it read before game._weights, kept as the reference."""
+    """strategy_cost as a plain loop in its order of addition, kept as the reference:
+    over the enumerated party's inputs inside, the responding party's outside."""
     alpha, beta = strategy.alpha, strategy.beta
+    enumerate_alice = game.n_a ** game.n_s <= game.n_b ** game.n_t
+    n_x, n_y = (game.n_s, game.n_t) if enumerate_alice else (game.n_t, game.n_s)
     total = 0.0
-    for s in range(game.n_s):
-        for t in range(game.n_t):
+    for y in range(n_y):
+        partial = 0.0
+        for x in range(n_x):
+            s, t = (x, y) if enumerate_alice else (y, x)
             weight = game.input_dist[s, t]
             if weight == 0.0:
                 continue
             c = game.cost[s, t, alpha[s], beta[t]]
             if math.isinf(c):
                 return math.inf
-            total += weight * c
+            partial += weight * c
+        total += partial
     return float(total)
 
 
@@ -204,12 +210,28 @@ def test_classical_refuses_huge_enumeration():
         classical_cost(g)
 
 
-def test_classical_refuses_too_many_rounded_ties():
-    # every one of the 2**30 pairs costs 1, summed from non-dyadic weights 1/225,
-    # so each lies within rounding of the minimum and would need re-scoring
+def test_classical_values_a_game_where_every_pair_ties():
+    # every one of the 2**30 pairs costs 1, summed from non-dyadic weights 1/225;
+    # the enumeration scores 2**15 rows of one party and re-scores no pair
     g = Game(15, 15, 2, 2, np.full((15, 15), 1.0 / 225.0), np.ones((15, 15, 2, 2)))
-    with pytest.raises(ValueError, match="within rounding of the minimum"):
-        classical_cost(g)
+    partial = total = 0.0
+    for _ in range(15):
+        partial += 1.0 / 225.0
+    for _ in range(15):
+        total += partial
+    value, witness = classical_cost(g)
+    assert value == total == 0.9999999999999999
+    assert witness == DeterministicStrategy((0,) * 15, (0,) * 15)
+    assert strategy_cost(g, witness) == value
+
+
+def test_classical_keeps_a_positive_zero():
+    # every cost is -0.0, so each weighted term is -0.0; sums start from +0.0
+    g = Game(2, 2, 2, 2, np.full((2, 2), 0.25), -np.zeros((2, 2, 2, 2)))
+    value, witness = classical_cost(g)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert witness == DeterministicStrategy((0, 0), (0, 0))
+    assert math.copysign(1.0, strategy_cost(g, witness)) == 1.0
 
 
 def test_classical_enumerates_only_the_smaller_side():
@@ -280,17 +302,18 @@ def test_classical_equals_the_full_scan_on_random_games():
     assert min(sides.values()) >= 30
 
 
-# Uniform weights 1/6 and integer costs give pairs of exactly equal cost
-# whose float sums differ in the last ulps, one way in strategy_cost's
-# (s, t) order and another way when summed per input of one party.
+# Uniform weights 1/6 and integer costs give many pairs of exactly equal
+# cost whose float sums still differ in the last ulps, so rounding in
+# strategy_cost's order decides both the value and the first pair attaining
+# it.  Values and witnesses are those of full_scan.
 ROUNDED_TIES = [
     ((2, 3, 2, 2), [[[[0, 1], [INF, 0]], [[1, INF], [1, 2]], [[INF, INF], [INF, 2]]],
                     [[[1, 2], [INF, 1]], [[1, 1], [2, 1]], [[1, 1], [INF, 0]]]],
-     0.9999999999999999, ((1, 1), (1, 1, 1))),
+     1.0, ((1, 1), (1, 0, 1))),
     ((3, 2, 2, 2), [[[[0, 1], [1, INF]], [[1, 1], [INF, 0]]],
                     [[[INF, INF], [1, 2]], [[1, 0], [2, 0]]],
                     [[[INF, 2], [1, INF]], [[INF, 1], [2, INF]]]],
-     1.1666666666666665, ((0, 1, 1), (0, 0))),
+     1.1666666666666665, ((0, 1, 0), (1, 1))),
 ]
 
 
@@ -308,10 +331,15 @@ def table_scan(game):
     betas = np.array(list(itertools.product(range(game.n_b), repeat=game.n_t)))
     weight = game.input_dist[:, :, None, None]
     weighted = weight * np.where(weight > 0, game.cost, 0.0)
+    enumerate_alice = len(alphas) <= len(betas)
+    n_x, n_y = (game.n_s, game.n_t) if enumerate_alice else (game.n_t, game.n_s)
     table = np.zeros((len(alphas), len(betas)))
-    for s in range(game.n_s):  # strategy_cost's order of addition
-        for t in range(game.n_t):
-            table += weighted[s, t][alphas[:, s][:, None], betas[:, t][None, :]]
+    for y in range(n_y):  # strategy_cost's order of addition
+        partial = np.zeros_like(table)
+        for x in range(n_x):
+            s, t = (x, y) if enumerate_alice else (y, x)
+            partial += weighted[s, t][alphas[:, s][:, None], betas[:, t][None, :]]
+        table += partial
     i, j = np.unravel_index(np.argmin(table), table.shape)
     witness = DeterministicStrategy(tuple(alphas[i].tolist()), tuple(betas[j].tolist()))
     return float(table[i, j]), witness
@@ -345,8 +373,8 @@ def tied_games():
 
 @pytest.mark.parametrize("block", [None, 16], ids=["one-block", "many-chunks"])
 def test_classical_rescores_tied_pairs_like_the_full_scan(monkeypatch, block):
-    # the near pairs are re-scored as arrays; a small block makes both the
-    # strategy blocks and the chunks of re-scored pairs small
+    # many pairs tie exactly; the enumeration's per-input first best response
+    # must pick the full scan's value and pair, also over many small blocks
     if block is not None:
         monkeypatch.setattr(classical, "_BLOCK_ENTRIES", block)
     for game in tied_games():
