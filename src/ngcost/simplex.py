@@ -1,37 +1,52 @@
-"""Dense two-phase simplex for small equality-form linear programs.
+"""Dense simplex for small equality-form linear programs.
 
-Solves min c.x subject to A x = b, x >= 0.  Bland's rule picks both the
-entering variable (lowest index with negative reduced cost) and the
-leaving row (lowest basic index among minimum ratios), which rules out
-cycling and makes every pivot sequence reproducible.  The leaving row is
+Solves min c.x subject to A x = b, x >= 0 from a basis of one artificial
+variable per row, in two phases on one tableau.  Both phases follow
+Bland's finite rules, which rule out cycling and make every pivot
+sequence reproducible.
+
+Phase 1 is a dual simplex (Lemke, Naval Res. Logist. Q. 1 (1954) 36-47)
+on the clipped costs max(c, 0), which make the artificial basis dual
+feasible: every price starts nonnegative, and each pivot keeps it so.  The
+leaving row is the infeasible basic variable with the lowest name: an
+artificial more than PIVOT_TOL from zero, or a real variable below
+-PIVOT_TOL.  The entering slot is the real slot whose entry in that row
+has the sign of the row's right-hand side and passes PIVOT_TOL, with the
+least ratio d_j / |t_rj| of price to entry; ratios within RATIO_TIE_TOL of
+the least go to the lowest name (Bland, Math. Oper. Res. 2 (1977)
+103-107).  An artificial that leaves never re-enters, so one still basic
+sits in its own row.  A row with no such slot admits no nonnegative
+solution.  The artificials left basic, all at zero, are then pivoted out by
+the same least ratio over entries of either sign, which keeps every price
+nonnegative; a row with no real entry is redundant and dropped.
+
+Phase 2 is the primal simplex on the true costs.  The entering variable is
+the lowest name with a reduced cost below -PIVOT_TOL.  The leaving row is
 chosen by a sequential scan over the rows whose coefficient passes
-PIVOT_TOL: a ratio more than RATIO_TIE_TOL below the best so far wins,
-and a ratio within RATIO_TIE_TOL of it wins only with a lower basic index.
+PIVOT_TOL: a ratio more than RATIO_TIE_TOL below the best so far wins, and
+a ratio within RATIO_TIE_TOL of it wins only with a lower basic index.
+When c >= 0 the clipped costs are the costs, so phase 2 starts optimal; it
+pivots only for negative costs, and it is where unboundedness shows.
 
 The tableau is in dictionary form: one column (slot) per non-basic
 variable plus the right-hand side, with `names[k]` the variable in slot
-k.  Variables 0..n-1 are real and n..n+m-1 are phase 1's artificials,
-which start basic; a basic variable's unit column is not stored.  On a
-pivot the leaving variable's unit column takes the entering variable's
-slot, then the ordinary pivot runs.  One tableau serves both phases: the
-m constraint rows, phase 2's cost row (c on the real slots), then phase
-1's objective, the last row, which the pivot loop prices.  The cost row
-rides along through phase 1 and the drive-out of leftover artificials;
-phase 2 is the slice of the kept rows and the cost row on the real slots
-and the right-hand side.
+k.  Variables 0..n-1 are real and n..n+m-1 are the artificials, which
+start basic; a basic variable's unit column is not stored.  On a pivot the
+leaving variable's unit column takes the entering variable's slot, then
+the ordinary pivot runs.  The tableau holds the m constraint rows, phase
+2's cost row (c on the real slots), then phase 1's clipped costs, the last
+row, which phase 1 and the drive-out price.  Phase 2 is the slice of the
+kept rows and the cost row on the slots of real variables and the
+right-hand side.
 
 A pivot divides the pivot row by the pivot entry, then subtracts
 t[r, col] * (pivot row) from every other row r whose pivot-column entry
 is nonzero, as one gathered rank-1 update that computes each row alone.
 Each entry gets exactly the floating-point operations of a row-by-row
-loop over a full tableau that rebuilds phase 2's cost row from c, so
-phase 1, the drive-out, and phase 2's constraint rows and right-hand
-side are the same bytes as there, but for the sign of a zero in a
-non-basic column, which no test on a coefficient tells apart.  The one
-place bytes could differ is phase 2's reduced costs: updated by every
-pivot here and rebuilt there, they can differ in the last bits, which
-moves a pivot only where one lies within rounding of -PIVOT_TOL.
-Otherwise the pivots, the vertex, its value and the errors are the same.
+loop over a full tableau (every variable's column, the artificials'
+identity block and both cost rows), so the pivots, the vertex, its value
+and the errors are the same bytes as there, but for the sign of a zero in
+a non-basic column, which no test on a coefficient tells apart.
 """
 
 from __future__ import annotations
@@ -89,8 +104,64 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[rows] -= factors * tableau[row]
 
 
+def _least_ratio(tableau: np.ndarray, row: int, slots: np.ndarray, names: np.ndarray) -> int:
+    """The slot of `slots` with the least price ratio d_j / |t[row, j]|.
+
+    Ratios within RATIO_TIE_TOL of the least go to the lowest name.  Pivoting
+    on it keeps every price of the last row nonnegative.
+    """
+    ratios = tableau[-1, slots] / np.abs(tableau[row, slots])
+    tied = slots[ratios <= ratios.min() + RATIO_TIE_TOL]
+    return int(tied[names[tied].argmin()])
+
+
+def _dual(tableau: np.ndarray, basis: np.ndarray, names: np.ndarray, real: np.ndarray) -> None:
+    """Phase 1: dual simplex until every artificial is zero and every real variable nonnegative."""
+    n = names.size
+    rhs = tableau[:basis.size, -1]
+    while True:
+        artificial = basis >= n
+        infeasible = ((rhs < -PIVOT_TOL) | (artificial & (rhs > PIVOT_TOL))).nonzero()[0]
+        if infeasible.size == 0:
+            return
+        leave = int(infeasible[basis[infeasible].argmin()])  # Bland: lowest infeasible name
+        row = tableau[leave, :-1]
+        right_sign = row > PIVOT_TOL if rhs[leave] > 0.0 else row < -PIVOT_TOL
+        slots = (right_sign & real).nonzero()[0]
+        if slots.size == 0:
+            residual = float(np.abs(rhs[artificial]).sum())
+            raise LpInfeasibleError(f"no feasible point: artificial residual {residual!r}")
+        enter = _least_ratio(tableau, leave, slots, names)
+        _pivot(tableau, leave, enter)
+        real[enter] = basis[leave] < n  # an artificial that leaves never re-enters
+        basis[leave], names[enter] = names[enter], basis[leave]
+
+
+def _drive_out(tableau: np.ndarray, basis: np.ndarray, names: np.ndarray,
+               real: np.ndarray) -> list[int]:
+    """Pivot the artificials left basic out at zero; the rows kept, without the redundant ones.
+
+    An artificial still basic sits in its own row, since none re-enters; a
+    row with no real slot to pivot on is redundant and dropped.
+    """
+    n = names.size
+    keep = []
+    for i in range(basis.size):
+        if basis[i] >= n:
+            slots = ((np.abs(tableau[i, :-1]) > PIVOT_TOL) & real).nonzero()[0]
+            if slots.size == 0:
+                continue
+            enter = _least_ratio(tableau, i, slots, names)
+            _pivot(tableau, i, enter)
+            real[enter] = False
+            basis[i], names[enter] = names[enter], basis[i]
+        keep.append(i)
+    return keep
+
+
 def _iterate(tableau: np.ndarray, basis: list[int], names: np.ndarray) -> None:
-    n_rows = len(basis)  # the cost rows below the constraints take no ratio test
+    """Phase 2: primal simplex with Bland's rule on the last row."""
+    n_rows = len(basis)  # the cost row below the constraints takes no ratio test
     while True:
         eligible = (tableau[-1, :-1] < -PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
@@ -115,8 +186,9 @@ def _iterate(tableau: np.ndarray, basis: list[int], names: np.ndarray) -> None:
 def solve(lp: LinearProgram) -> tuple[np.ndarray, float]:
     """Optimal vertex and objective value.
 
-    Raises LpInfeasibleError when phase 1 cannot zero out the artificial
-    variables and LpUnboundedError when phase 2 finds a descent ray.
+    Raises LpInfeasibleError when phase 1 meets a row whose artificial
+    variable cannot reach zero and LpUnboundedError when phase 2 finds a
+    descent ray.
     """
     a = np.array(lp.a_eq)
     b = np.array(lp.b_eq)
@@ -127,44 +199,26 @@ def solve(lp: LinearProgram) -> tuple[np.ndarray, float]:
     a[flip] *= -1.0
     b[flip] *= -1.0
 
-    # one tableau through both phases: the constraint rows, phase 2's cost
-    # row, then phase 1's objective, the sum of one artificial variable
-    # n + i per row i; the artificials start basic, so the slots hold the n
-    # real variables and the cost row needs no pricing
+    # one tableau: the constraint rows, phase 2's cost row, then phase 1's
+    # clipped costs max(c, 0); the artificial n + i of each row i starts
+    # basic, so the slots hold the n real variables and every price of the
+    # last row is nonnegative
     tableau = np.zeros((m + 2, n + 1))
     tableau[:m, :n] = a
     tableau[:m, -1] = b
     tableau[m, :n] = c
-    tableau[-1, :n] = -a.sum(axis=0)
-    tableau[-1, -1] = -b.sum()
+    tableau[-1, :n] = np.maximum(c, 0.0)
     names = np.arange(n)
-    basis = list(range(n, n + m))
-    _iterate(tableau, basis, names)
-    if -tableau[-1, -1] > PIVOT_TOL:
-        raise LpInfeasibleError(
-            f"no feasible point: artificial residual {float(-tableau[-1, -1])!r}"
-        )
-
-    # pivot leftover artificials out; a row with no real pivot is redundant
-    real = names < n
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            usable = ((np.abs(tableau[i, :-1]) > PIVOT_TOL) & real).nonzero()[0]
-            if usable.size == 0:
-                continue
-            enter = int(usable[names[usable].argmin()])
-            _pivot(tableau, i, enter)
-            basis[i], names[enter] = int(names[enter]), basis[i]
-            real[enter] = False  # the artificial that left holds it now
-        keep.append(i)
+    basis = np.arange(n, n + m)
+    real = np.ones(n, dtype=bool)  # slots that hold a real variable
+    _dual(tableau, basis, names, real)
+    keep = _drive_out(tableau, basis, names, real)
 
     # phase 2 is the kept rows and the cost row on the slots of real variables
     slots = real.nonzero()[0]
     phase2 = tableau[np.ix_(keep + [m], np.append(slots, n))]
-    names = names[slots]
-    basis = [basis[i] for i in keep]
-    _iterate(phase2, basis, names)
+    basis = basis[keep].tolist()
+    _iterate(phase2, basis, names[slots])
 
     x = np.zeros(n)
     x[basis] = phase2[:-1, -1]

@@ -7,7 +7,7 @@ from ns_games import captured_ns_lps, random_ns_games
 from scipy.optimize import linprog
 
 from ngcost import (FamilyParams, Game, LinearProgram, LpInfeasibleError, LpUnboundedError,
-                    auto_cap, cap_infinities, make_family_game, solve)
+                    auto_cap, cap_infinities, make_family_game, simplex, solve)
 from ngcost.simplex import PIVOT_TOL, RATIO_TIE_TOL, _pivot
 
 
@@ -123,14 +123,51 @@ def test_random_lps_match_scipy():
     assert checked >= 10
 
 
-# The row-by-row simplex before the pivot was vectorized, kept as the
-# reference: the vectorized code must take the same pivots and return the
-# same bytes.  `seen` counts the cases the comparison must exercise.
+# A row-by-row simplex over a full tableau (every variable's column, the
+# artificials' identity block and both cost rows), kept as the reference:
+# the dictionary-form, vectorized code must take the same pivots and return
+# the same bytes.  `seen` counts the cases the comparison must exercise.
 def _ref_pivot(tableau, row, col):
     tableau[row] /= tableau[row, col]
     for r in range(tableau.shape[0]):
         if r != row and tableau[r, col] != 0.0:
             tableau[r] -= tableau[r, col] * tableau[row]
+
+
+def _ref_least_ratio(tableau, row, cols, seen):
+    # cols in ascending name order, so the first within the tie window is the lowest name
+    ratios = [tableau[-1, j] / abs(tableau[row, j]) for j in cols]
+    best = min(ratios)
+    enter = -1
+    for j, ratio in zip(cols, ratios):
+        if ratio <= best + RATIO_TIE_TOL:
+            if ratio != best:
+                seen["inexact tie"] += 1
+            if enter < 0:
+                enter = j
+    return enter
+
+
+def _ref_dual(tableau, basis, n, seen):
+    m = len(basis)
+    while True:
+        leave = -1
+        for i in range(m):
+            value = tableau[i, -1]
+            if value < -PIVOT_TOL or (basis[i] >= n and value > PIVOT_TOL):
+                if leave < 0 or basis[i] < basis[leave]:
+                    leave = i
+        if leave < 0:
+            return
+        sign = 1.0 if tableau[leave, -1] > 0.0 else -1.0
+        cols = [j for j in range(n) if j not in basis and sign * tableau[leave, j] > PIVOT_TOL]
+        if not cols:
+            artificial = [i for i in range(m) if basis[i] >= n]
+            residual = float(np.abs(tableau[artificial, -1]).sum())
+            raise LpInfeasibleError(f"no feasible point: artificial residual {residual!r}")
+        enter = _ref_least_ratio(tableau, leave, cols, seen)
+        _ref_pivot(tableau, leave, enter)
+        basis[leave] = enter
 
 
 def _ref_iterate(tableau, basis, n_cols, seen):
@@ -169,40 +206,29 @@ def _ref_solve(lp, seen):
     flip = b < 0
     a[flip] *= -1.0
     b[flip] *= -1.0
-    tableau = np.zeros((m + 1, n + m + 1))
+    # phase 1 is a dual simplex on the clipped costs, from the artificial basis
+    tableau = np.zeros((m + 2, n + m + 1))
     tableau[:m, :n] = a
     tableau[:m, n:n + m] = np.eye(m)
     tableau[:m, -1] = b
-    tableau[m, :n] = -a.sum(axis=0)
-    tableau[m, -1] = -b.sum()
+    tableau[m, :n] = c
+    tableau[m + 1, :n] = np.maximum(c, 0.0)
     basis = list(range(n, n + m))
-    _ref_iterate(tableau, basis, n + m, seen)
-    if -tableau[m, -1] > PIVOT_TOL:
-        raise LpInfeasibleError(
-            f"no feasible point: artificial residual {float(-tableau[m, -1])!r}"
-        )
+    _ref_dual(tableau, basis, n, seen)
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            enter = -1
-            for j in range(n):
-                if abs(tableau[i, j]) > PIVOT_TOL:
-                    enter = j
-                    break
-            if enter < 0:
+            cols = [j for j in range(n) if j not in basis and abs(tableau[i, j]) > PIVOT_TOL]
+            if not cols:
                 seen["dropped row"] += 1
                 continue
+            enter = _ref_least_ratio(tableau, i, cols, seen)
             _ref_pivot(tableau, i, enter)
             basis[i] = enter
         keep.append(i)
-    rows = len(keep)
-    phase2 = np.zeros((rows + 1, n + 1))
-    phase2[:rows, :n] = tableau[keep, :n]
-    phase2[:rows, -1] = tableau[keep, -1]
+    # phase 2: primal Bland on the true cost row, over the real columns
+    phase2 = tableau[np.ix_(keep + [m], list(range(n)) + [n + m])]
     basis = [basis[i] for i in keep]
-    phase2[rows, :n] = c
-    for i, var in enumerate(basis):
-        phase2[rows] -= c[var] * phase2[i]
     _ref_iterate(phase2, basis, n, seen)
     x = np.zeros(n)
     for i, var in enumerate(basis):
@@ -257,6 +283,21 @@ def _random_lps(seed, count):
     return lps
 
 
+def test_random_lps_match_highs_status_and_value():
+    # an independent check of what the row-loop reference only checks for
+    # self-consistency: the same status as HiGHS, and the same optimal value
+    status = {0: "solved", 2: LpInfeasibleError, 3: LpUnboundedError}
+    seen = Counter()
+    for lp in _random_lps(41, 400):
+        ref = linprog(lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None), method="highs")
+        got = _outcome(solve, lp)
+        assert got[0] == status[ref.status]
+        if ref.status == 0:
+            assert abs(got[-1] - ref.fun) <= 1e-7
+        seen[got[0]] += 1
+    assert seen == {"solved": 183, LpUnboundedError: 117, LpInfeasibleError: 100}
+
+
 def test_pivot_matches_row_loop_on_non_basic_columns():
     # full tableaux with a basis of unit columns, holding +0.0, -0.0 and
     # negative entries; the pivot on the non-basic columns alone must give
@@ -287,7 +328,13 @@ def test_pivot_matches_row_loop_on_non_basic_columns():
 
 
 def test_vectorized_pivots_match_row_loop_on_random_lps():
-    seen = _assert_same_as_reference(_random_lps(41, 400))
+    lps = _random_lps(41, 400)
+    # the integer-cost LPs again, their costs moved by multiples of 2e-13:
+    # prices tied within RATIO_TIE_TOL but not exactly, for phase 1's ratio test
+    rng = np.random.default_rng(43)
+    lps += [LinearProgram(lp.c + rng.integers(-3, 4, size=lp.c.size) * 2e-13, lp.a_eq, lp.b_eq)
+            for k, lp in enumerate(lps) if k % 5]
+    seen = _assert_same_as_reference(lps)
     assert seen["solved"] >= 100
     assert seen[LpInfeasibleError] >= 50
     assert seen[LpUnboundedError] >= 50
@@ -363,9 +410,23 @@ def _wide_ns_games(seed):
     return games
 
 
+def _tied_wide_ns_games(seed):
+    # _wide_ns_games with uniform inputs and every finite cost an integer
+    # moved by a multiple of 2e-13: prices tied within RATIO_TIE_TOL but not
+    # exactly, for phase 1's ratio test
+    rng = np.random.default_rng(seed)
+    games = []
+    for game in _wide_ns_games(seed):
+        cost = np.floor(4 * game.cost) + rng.integers(0, 4, size=game.cost.shape) * 2e-13
+        dist = np.full((game.n_s, game.n_t), 1 / (game.n_s * game.n_t))
+        games.append(Game(game.n_s, game.n_t, game.n_a, game.n_b, dist, cost))
+    return games
+
+
 def test_dictionary_pivots_match_row_loop_on_wide_ns_lps(monkeypatch):
     lps = captured_ns_lps(monkeypatch, _wide_ns_games(23))
     assert [lp.a_eq.shape[0] for lp in lps[:3]] == [45, 88, 105]
+    lps += captured_ns_lps(monkeypatch, _tied_wide_ns_games(23))
     lps += [
         # no rows: the origin, or a ray
         LinearProgram([1.0, 2.0], np.zeros((0, 2)), []),
@@ -380,3 +441,44 @@ def test_dictionary_pivots_match_row_loop_on_wide_ns_lps(monkeypatch):
     assert seen[LpInfeasibleError] >= 2 and seen[LpUnboundedError] == 1
     assert seen["inexact tie"] >= 500
     assert seen["dropped row"] >= 300
+
+
+def test_phase_two_starts_optimal_on_nonnegative_costs(monkeypatch):
+    # with c >= 0 the clipped costs of phase 1 are the costs, and phase 1 and
+    # the drive-out keep every price nonnegative, so phase 2 makes no pivot.
+    # No artificial re-enters, so a row dropped as redundant still holds its
+    # own artificial n + i: the rows kept are the rows of the final basis.
+    lps = captured_ns_lps(monkeypatch, random_ns_games(5, 30))
+    lps += captured_ns_lps(monkeypatch, _family_sweep_games())
+    lps += captured_ns_lps(monkeypatch, _wide_ns_games(23))
+    lps = [lp for lp in lps if (lp.c >= 0.0).all()]
+    seen = Counter()
+    pivot, drive_out, iterate = simplex._pivot, simplex._drive_out, simplex._iterate
+
+    def counted_pivot(*args):
+        seen["pivot"] += 1
+        pivot(*args)
+
+    def checked_drive_out(tableau, basis, names, real):
+        keep = drive_out(tableau, basis, names, real)
+        dropped = sorted(set(range(basis.size)) - set(keep))
+        assert basis[dropped].tolist() == [names.size + i for i in dropped]
+        seen["dropped row"] += len(dropped)
+        return keep
+
+    def counted_iterate(tableau, basis, names):
+        before = seen["pivot"]
+        iterate(tableau, basis, names)
+        seen["phase 2 pivot"] += seen["pivot"] - before
+
+    monkeypatch.setattr(simplex, "_pivot", counted_pivot)
+    monkeypatch.setattr(simplex, "_drive_out", checked_drive_out)
+    monkeypatch.setattr(simplex, "_iterate", counted_iterate)
+    for lp in lps:
+        try:
+            solve(lp)
+        except LpInfeasibleError:
+            seen["infeasible"] += 1
+    assert len(lps) == 30 + 128 + 24
+    assert seen["phase 2 pivot"] == 0
+    assert seen["pivot"] >= 4000 and seen["dropped row"] >= 1000
