@@ -3,7 +3,10 @@
 Solves min c.x subject to A x = b, x >= 0 from a basis of one artificial
 variable per row, in two phases on one tableau.  Both phases follow
 Bland's finite rules, which rule out cycling and make every pivot
-sequence reproducible.
+sequence reproducible, and both pick their pivot by one tie rule: among
+ratios within RATIO_TIE_TOL of the least, the lowest name (Bland, Math.
+Oper. Res. 2 (1977) 103-107).  An artificial that leaves the basis never
+re-enters, so one still basic sits in its own row.
 
 Phase 1 is a dual simplex (Lemke, Naval Res. Logist. Q. 1 (1954) 36-47)
 on the clipped costs max(c, 0), which make the artificial basis dual
@@ -12,21 +15,18 @@ leaving row is the infeasible basic variable with the lowest name: an
 artificial more than PIVOT_TOL from zero, or a real variable below
 -PIVOT_TOL.  The entering slot is the real slot whose entry in that row
 has the sign of the row's right-hand side and passes PIVOT_TOL, with the
-least ratio d_j / |t_rj| of price to entry; ratios within RATIO_TIE_TOL of
-the least go to the lowest name (Bland, Math. Oper. Res. 2 (1977)
-103-107).  An artificial that leaves never re-enters, so one still basic
-sits in its own row.  A row with no such slot admits no nonnegative
-solution.  The artificials left basic, all at zero, are then pivoted out by
-the same least ratio over entries of either sign, which keeps every price
-nonnegative; a row with no real entry is redundant and dropped.
+least ratio d_j / |t_rj| of price to entry.  A row with no such slot
+admits no nonnegative solution.
 
-Phase 2 is the primal simplex on the true costs.  The entering variable is
-the lowest name with a reduced cost below -PIVOT_TOL.  The leaving row is
-chosen by a sequential scan over the rows whose coefficient passes
-PIVOT_TOL: a ratio more than RATIO_TIE_TOL below the best so far wins, and
-a ratio within RATIO_TIE_TOL of it wins only with a lower basic index.
-When c >= 0 the clipped costs are the costs, so phase 2 starts optimal; it
-pivots only for negative costs, and it is where unboundedness shows.
+Phase 2 is the primal simplex on the true costs, over the whole tableau.
+The entering slot is the real slot with the lowest name whose reduced cost
+is below -PIVOT_TOL.  The ratio test takes the rows whose entry passes
+PIVOT_TOL, and also every basic artificial, which sits at zero, on an
+entry of either sign with |t| > PIVOT_TOL, at ratio 0; the lowest basic
+name breaks ties.  So the artificials stay at zero, and a redundant row
+keeps its own artificial basic to the end.  When c >= 0 the clipped costs
+are the costs, so phase 2 starts optimal; it pivots only for negative
+costs, and it is where unboundedness shows.
 
 The tableau is in dictionary form: one column (slot) per non-basic
 variable plus the right-hand side, with `names[k]` the variable in slot
@@ -34,10 +34,7 @@ k.  Variables 0..n-1 are real and n..n+m-1 are the artificials, which
 start basic; a basic variable's unit column is not stored.  On a pivot the
 leaving variable's unit column takes the entering variable's slot, then
 the ordinary pivot runs.  The tableau holds the m constraint rows, phase
-2's cost row (c on the real slots), then phase 1's clipped costs, the last
-row, which phase 1 and the drive-out price.  Phase 2 is the slice of the
-kept rows and the cost row on the slots of real variables and the
-right-hand side.
+2's cost row (c on the real slots), then phase 1's clipped costs.
 
 A pivot divides the pivot row by the pivot entry, then subtracts
 t[r, col] * (pivot row) from every other row r whose pivot-column entry
@@ -104,15 +101,18 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[rows] -= factors * tableau[row]
 
 
-def _least_ratio(tableau: np.ndarray, row: int, slots: np.ndarray, names: np.ndarray) -> int:
-    """The slot of `slots` with the least price ratio d_j / |t[row, j]|.
-
-    Ratios within RATIO_TIE_TOL of the least go to the lowest name.  Pivoting
-    on it keeps every price of the last row nonnegative.
-    """
-    ratios = tableau[-1, slots] / np.abs(tableau[row, slots])
-    tied = slots[ratios <= ratios.min() + RATIO_TIE_TOL]
+def _lowest_tied(ratios: np.ndarray, candidates: np.ndarray, names: np.ndarray) -> int:
+    """The candidate of least ratio; ratios within RATIO_TIE_TOL of it go to the lowest name."""
+    tied = candidates[ratios <= ratios.min() + RATIO_TIE_TOL]
     return int(tied[names[tied].argmin()])
+
+
+def _exchange(tableau: np.ndarray, basis: np.ndarray, names: np.ndarray, real: np.ndarray,
+              leave: int, enter: int) -> None:
+    """Pivot slot enter into row leave; an artificial that leaves never re-enters."""
+    _pivot(tableau, leave, enter)
+    real[enter] = basis[leave] < names.size
+    basis[leave], names[enter] = names[enter], basis[leave]
 
 
 def _dual(tableau: np.ndarray, basis: np.ndarray, names: np.ndarray, real: np.ndarray) -> None:
@@ -131,56 +131,25 @@ def _dual(tableau: np.ndarray, basis: np.ndarray, names: np.ndarray, real: np.nd
         if slots.size == 0:
             residual = float(np.abs(rhs[artificial]).sum())
             raise LpInfeasibleError(f"no feasible point: artificial residual {residual!r}")
-        enter = _least_ratio(tableau, leave, slots, names)
-        _pivot(tableau, leave, enter)
-        real[enter] = basis[leave] < n  # an artificial that leaves never re-enters
-        basis[leave], names[enter] = names[enter], basis[leave]
+        enter = _lowest_tied(tableau[-1, slots] / np.abs(row[slots]), slots, names)
+        _exchange(tableau, basis, names, real, leave, enter)
 
 
-def _drive_out(tableau: np.ndarray, basis: np.ndarray, names: np.ndarray,
-               real: np.ndarray) -> list[int]:
-    """Pivot the artificials left basic out at zero; the rows kept, without the redundant ones.
-
-    An artificial still basic sits in its own row, since none re-enters; a
-    row with no real slot to pivot on is redundant and dropped.
-    """
-    n = names.size
-    keep = []
-    for i in range(basis.size):
-        if basis[i] >= n:
-            slots = ((np.abs(tableau[i, :-1]) > PIVOT_TOL) & real).nonzero()[0]
-            if slots.size == 0:
-                continue
-            enter = _least_ratio(tableau, i, slots, names)
-            _pivot(tableau, i, enter)
-            real[enter] = False
-            basis[i], names[enter] = names[enter], basis[i]
-        keep.append(i)
-    return keep
-
-
-def _iterate(tableau: np.ndarray, basis: list[int], names: np.ndarray) -> None:
-    """Phase 2: primal simplex with Bland's rule on the last row."""
-    n_rows = len(basis)  # the cost row below the constraints takes no ratio test
+def _primal(tableau: np.ndarray, basis: np.ndarray, names: np.ndarray, real: np.ndarray) -> None:
+    """Phase 2: primal simplex with Bland's rule on the cost row, over the real slots."""
+    m, n = basis.size, names.size
     while True:
-        eligible = (tableau[-1, :-1] < -PIVOT_TOL).nonzero()[0]
+        eligible = ((tableau[m, :-1] < -PIVOT_TOL) & real).nonzero()[0]
         if eligible.size == 0:
             return
         enter = int(eligible[names[eligible].argmin()])  # Bland: lowest eligible name
-        column = tableau[:n_rows, enter]
-        candidates = (column > PIVOT_TOL).nonzero()[0]
-        if candidates.size == 0:
+        column = tableau[:m, enter]
+        artificial = basis >= n  # basic at zero: leaves on an entry of either sign, at ratio 0
+        rows = ((column > PIVOT_TOL) | (artificial & (np.abs(column) > PIVOT_TOL))).nonzero()[0]
+        if rows.size == 0:
             raise LpUnboundedError("objective is unbounded below")
-        ratios = tableau[candidates, -1] / column[candidates]
-        leave = -1
-        best_ratio = 0.0
-        for i, ratio in zip(candidates.tolist(), ratios.tolist()):
-            if (leave < 0 or ratio < best_ratio - RATIO_TIE_TOL or
-                    (abs(ratio - best_ratio) <= RATIO_TIE_TOL and basis[i] < basis[leave])):
-                leave = i
-                best_ratio = ratio
-        _pivot(tableau, leave, enter)
-        basis[leave], names[enter] = int(names[enter]), basis[leave]
+        ratios = np.where(artificial[rows], 0.0, tableau[rows, -1] / column[rows])
+        _exchange(tableau, basis, names, real, _lowest_tied(ratios, rows, basis), enter)
 
 
 def solve(lp: LinearProgram) -> tuple[np.ndarray, float]:
@@ -212,15 +181,10 @@ def solve(lp: LinearProgram) -> tuple[np.ndarray, float]:
     basis = np.arange(n, n + m)
     real = np.ones(n, dtype=bool)  # slots that hold a real variable
     _dual(tableau, basis, names, real)
-    keep = _drive_out(tableau, basis, names, real)
-
-    # phase 2 is the kept rows and the cost row on the slots of real variables
-    slots = real.nonzero()[0]
-    phase2 = tableau[np.ix_(keep + [m], np.append(slots, n))]
-    basis = basis[keep].tolist()
-    _iterate(phase2, basis, names[slots])
+    _primal(tableau, basis, names, real)
 
     x = np.zeros(n)
-    x[basis] = phase2[:-1, -1]
+    real_rows = basis < n  # a redundant row keeps its artificial basic at zero
+    x[basis[real_rows]] = tableau[:m, -1][real_rows]
     np.clip(x, 0.0, None, out=x)  # scrub -1e-16 round-off
     return x, float(c @ x)

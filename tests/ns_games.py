@@ -3,7 +3,8 @@
 Shared by the simplex and non-signalling tests.  Shapes run from 2x2x2x2
 to 5x5x4x4 (both extremes always included), every other game has small
 integer costs (many exactly tied ratios) and the rest real costs, and
-about one entry in six is +inf.
+about one entry in six is +inf.  negative_ns_games adds costs below zero,
+the only non-signalling LPs on which the simplex's phase 2 pivots.
 """
 
 import math
@@ -30,6 +31,19 @@ def random_ns_games(seed: int, count: int) -> list[Game]:
         cost[rng.random(shape) < 1 / 6] = math.inf
         n_s, n_t = shape[:2]
         games.append(Game(*shape, np.full((n_s, n_t), 1.0 / (n_s * n_t)), cost))
+    return games
+
+
+def negative_ns_games(seed: int, count: int) -> list[Game]:
+    """Games up to 4x4x3x3 with costs in [-1, 2), about one entry in five +inf."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for _ in range(count):
+        n_s, n_t, n_a, n_b = shape = (*rng.integers(2, 5, size=2), *rng.integers(2, 4, size=2))
+        cost = rng.uniform(-1.0, 2.0, size=shape)
+        cost[rng.random(shape) < 0.2] = math.inf
+        dist = rng.random((n_s, n_t)) + 0.5
+        games.append(Game(*shape, dist / dist.sum(), cost))
     return games
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from ns_games import captured_ns_lps, random_ns_games
+from ns_games import captured_ns_lps, negative_ns_games, random_ns_games
 from ns_vertices import NS_VERTICES, exact_ns_value
 from scipy.optimize import linprog
 
@@ -216,8 +216,8 @@ def test_ns_deterministic_witness():
     assert np.array_equal(first[1].p, second[1].p)
 
 
-def _scipy_ns_value(game):
-    """Independent LP assembly: scipy solves the same polytope problem."""
+def _scipy_ns_result(game):
+    """Independent LP assembly: scipy's result on the same polytope problem."""
     n_s, n_t, n_a, n_b = game.n_s, game.n_t, game.n_a, game.n_b
     n_vars = n_s * n_t * n_a * n_b
 
@@ -255,8 +255,11 @@ def _scipy_ns_value(game):
     # only the forbidden entries of inputs that occur are pinned to zero
     pinned = (np.isinf(game.cost) & (weight > 0)).ravel()
     bounds = [(0.0, 0.0) if pinned[i] else (0.0, None) for i in range(n_vars)]
-    res = linprog(c, A_eq=np.array(rows), b_eq=np.array(rhs), bounds=bounds,
-                  method="highs")
+    return linprog(c, A_eq=np.array(rows), b_eq=np.array(rhs), bounds=bounds, method="highs")
+
+
+def _scipy_ns_value(game):
+    res = _scipy_ns_result(game)
     assert res.status == 0
     return res.fun
 
@@ -290,6 +293,23 @@ def test_ns_matches_scipy_on_assorted_games():
         ours, _ = ns_lower_bound(game)
         theirs = _scipy_ns_value(game)
         assert abs(ours - theirs) <= 1e-7
+
+
+def test_ns_matches_scipy_on_negative_cost_games():
+    # costs below zero: the only non-signalling LPs on which phase 2 pivots
+    seen = {0: 0, 2: 0}
+    for game in negative_ns_games(5, 40):
+        res = _scipy_ns_result(game)
+        seen[res.status] += 1
+        if res.status == 2:
+            with pytest.raises(NonSignallingInfeasibleError):
+                ns_lower_bound(game)
+            continue
+        value, witness = ns_lower_bound(game)
+        assert abs(value - res.fun) <= 1e-7
+        assert is_nonsignalling(witness)
+        assert abs(expected_cost(game, witness) - value) <= 1e-9
+    assert seen == {0: 38, 2: 2}
 
 
 def _chsh_with_cost_entry(entry):

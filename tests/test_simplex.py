@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from ns_games import captured_ns_lps, random_ns_games
+from ns_games import captured_ns_lps, negative_ns_games, random_ns_games
 from scipy.optimize import linprog
 
 from ngcost import (FamilyParams, Game, LinearProgram, LpInfeasibleError, LpUnboundedError,
@@ -36,6 +36,7 @@ def test_negative_rhs_is_handled():
 
 
 def test_redundant_rows_are_dropped():
+    # each redundant row keeps its own artificial basic, at zero
     lp = LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
                        [1.0, 1.0, 2.0])
     x, value = solve(lp)
@@ -134,18 +135,17 @@ def _ref_pivot(tableau, row, col):
             tableau[r] -= tableau[r, col] * tableau[row]
 
 
-def _ref_least_ratio(tableau, row, cols, seen):
-    # cols in ascending name order, so the first within the tie window is the lowest name
-    ratios = [tableau[-1, j] / abs(tableau[row, j]) for j in cols]
+def _ref_lowest_tied(ratios, names, seen):
+    # both phases: among ratios within RATIO_TIE_TOL of the least, the lowest name
     best = min(ratios)
-    enter = -1
-    for j, ratio in zip(cols, ratios):
+    pick = -1
+    for k, ratio in enumerate(ratios):
         if ratio <= best + RATIO_TIE_TOL:
             if ratio != best:
                 seen["inexact tie"] += 1
-            if enter < 0:
-                enter = j
-    return enter
+            if pick < 0 or names[k] < names[pick]:
+                pick = k
+    return pick
 
 
 def _ref_dual(tableau, basis, n, seen):
@@ -165,35 +165,39 @@ def _ref_dual(tableau, basis, n, seen):
             artificial = [i for i in range(m) if basis[i] >= n]
             residual = float(np.abs(tableau[artificial, -1]).sum())
             raise LpInfeasibleError(f"no feasible point: artificial residual {residual!r}")
-        enter = _ref_least_ratio(tableau, leave, cols, seen)
+        ratios = [tableau[-1, j] / abs(tableau[leave, j]) for j in cols]
+        enter = cols[_ref_lowest_tied(ratios, cols, seen)]
         _ref_pivot(tableau, leave, enter)
         basis[leave] = enter
 
 
-def _ref_iterate(tableau, basis, n_cols, seen):
-    n_rows = tableau.shape[0] - 1
+def _ref_iterate(tableau, basis, n, seen):
+    # phase 2 prices row m; a basic artificial, at zero, leaves on an entry
+    # of either sign at ratio 0 and, like every artificial, never re-enters
+    m = len(basis)
     while True:
         enter = -1
-        for j in range(n_cols):
-            if tableau[-1, j] < -PIVOT_TOL:
+        for j in range(n):
+            if j not in basis and tableau[m, j] < -PIVOT_TOL:
                 enter = j
                 break
         if enter < 0:
             return
-        leave = -1
-        best_ratio = 0.0
-        for i in range(n_rows):
+        rows, ratios = [], []
+        for i in range(m):
             coeff = tableau[i, enter]
-            if coeff > PIVOT_TOL:
-                ratio = tableau[i, -1] / coeff
-                if leave >= 0 and ratio != best_ratio and abs(ratio - best_ratio) <= RATIO_TIE_TOL:
-                    seen["inexact tie"] += 1
-                if (leave < 0 or ratio < best_ratio - RATIO_TIE_TOL or
-                        (abs(ratio - best_ratio) <= RATIO_TIE_TOL and basis[i] < basis[leave])):
-                    leave = i
-                    best_ratio = ratio
-        if leave < 0:
+            if basis[i] >= n and abs(coeff) > PIVOT_TOL:
+                rows.append(i)
+                ratios.append(0.0)
+            elif coeff > PIVOT_TOL:
+                rows.append(i)
+                ratios.append(tableau[i, -1] / coeff)
+        if not rows:
             raise LpUnboundedError("objective is unbounded below")
+        leave = rows[_ref_lowest_tied(ratios, [basis[i] for i in rows], seen)]
+        seen["phase 2 pivot"] += 1
+        if basis[leave] >= n and tableau[leave, enter] < 0.0:
+            seen["artificial out on a negative entry"] += 1
         _ref_pivot(tableau, leave, enter)
         basis[leave] = enter
 
@@ -215,24 +219,14 @@ def _ref_solve(lp, seen):
     tableau[m + 1, :n] = np.maximum(c, 0.0)
     basis = list(range(n, n + m))
     _ref_dual(tableau, basis, n, seen)
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            cols = [j for j in range(n) if j not in basis and abs(tableau[i, j]) > PIVOT_TOL]
-            if not cols:
-                seen["dropped row"] += 1
-                continue
-            enter = _ref_least_ratio(tableau, i, cols, seen)
-            _ref_pivot(tableau, i, enter)
-            basis[i] = enter
-        keep.append(i)
-    # phase 2: primal Bland on the true cost row, over the real columns
-    phase2 = tableau[np.ix_(keep + [m], list(range(n)) + [n + m])]
-    basis = [basis[i] for i in keep]
-    _ref_iterate(phase2, basis, n, seen)
+    # phase 2: primal Bland on the true cost row, over the whole tableau
+    _ref_iterate(tableau, basis, n, seen)
     x = np.zeros(n)
     for i, var in enumerate(basis):
-        x[var] = phase2[i, -1]
+        if var < n:
+            x[var] = tableau[i, -1]
+        else:
+            seen["artificial left basic"] += 1
     np.clip(x, 0.0, None, out=x)
     return x, float(c @ x)
 
@@ -339,7 +333,8 @@ def test_vectorized_pivots_match_row_loop_on_random_lps():
     assert seen[LpInfeasibleError] >= 50
     assert seen[LpUnboundedError] >= 50
     assert seen["inexact tie"] >= 100
-    assert seen["dropped row"] >= 70
+    assert seen["artificial left basic"] >= 70
+    assert seen["artificial out on a negative entry"] >= 1
 
 
 def test_vectorized_pivots_match_row_loop_on_constructed_edge_cases():
@@ -352,17 +347,19 @@ def test_vectorized_pivots_match_row_loop_on_constructed_edge_cases():
         LinearProgram([-1.0, 0.0], [[0.0, 1.0]], [1.0]),
         # unbounded in phase 2 after a degenerate phase 1
         LinearProgram([-1.0, -1.0, 0.0], [[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 1.0]),
-        # every row redundant but the first
+        # every row redundant but the first: three artificials stay basic
         LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [-3.0, -3.0]],
                       [1.0, 1.0, 2.0, -3.0]),
-        # ratios 1 and 1 + 1e-13 tie; the lower basic index must leave
-        LinearProgram([-1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
-                      [1.0 + 1e-13, 1.0]),
     ]
+    # phase 1 makes x0 and x1 basic; in phase 2, x2 meets the ratios
+    # 1 + 1e-13 (x0) and 1 (x1), tied within RATIO_TIE_TOL: x0, the lower
+    # basic name, must leave
+    tie = LinearProgram([0.0, 0.0, -1.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0 + 1e-13, 1.0])
+    assert _assert_same_as_reference([tie])["inexact tie"] >= 1
     seen = _assert_same_as_reference(lps)
     assert seen[LpInfeasibleError] == 2
     assert seen[LpUnboundedError] == 2
-    assert seen["dropped row"] == 3
+    assert seen["artificial left basic"] == 3
 
 
 def _family_sweep_games():
@@ -381,10 +378,14 @@ def test_vectorized_pivots_match_row_loop_on_ns_lps(monkeypatch):
     # 2x2x2x2 has 4 + 4 + 4 constraint rows, 5x5x4x4 has 25 + 80 + 80
     assert (lps[0].a_eq.shape[0], lps[-1].a_eq.shape[0]) == (12, 185)
     lps += captured_ns_lps(monkeypatch, _family_sweep_games())
+    # costs below zero: the only NS LPs on which phase 2 pivots
+    lps += captured_ns_lps(monkeypatch, negative_ns_games(5, 40))
     seen = _assert_same_as_reference(lps)
     assert seen["solved"] >= 25
     assert seen["inexact tie"] >= 1000
-    assert seen["dropped row"] >= 200
+    assert seen["artificial left basic"] >= 200
+    assert seen["phase 2 pivot"] >= 100
+    assert seen["artificial out on a negative entry"] >= 1
 
 
 def _wide_ns_games(seed):
@@ -440,45 +441,54 @@ def test_dictionary_pivots_match_row_loop_on_wide_ns_lps(monkeypatch):
     assert seen["solved"] >= 20
     assert seen[LpInfeasibleError] >= 2 and seen[LpUnboundedError] == 1
     assert seen["inexact tie"] >= 500
-    assert seen["dropped row"] >= 300
+    assert seen["artificial left basic"] >= 300
 
 
 def test_phase_two_starts_optimal_on_nonnegative_costs(monkeypatch):
-    # with c >= 0 the clipped costs of phase 1 are the costs, and phase 1 and
-    # the drive-out keep every price nonnegative, so phase 2 makes no pivot.
-    # No artificial re-enters, so a row dropped as redundant still holds its
-    # own artificial n + i: the rows kept are the rows of the final basis.
+    # with c >= 0 the clipped costs of phase 1 are the costs, and phase 1
+    # keeps the price of every real slot nonnegative, so phase 2 makes no
+    # pivot.  No artificial re-enters, so one still basic after phase 2 (a
+    # redundant row's) sits in its own row i as n + i, at zero: the final
+    # basis covers every row.  Negative costs make phase 2 pivot; the same holds.
     lps = captured_ns_lps(monkeypatch, random_ns_games(5, 30))
     lps += captured_ns_lps(monkeypatch, _family_sweep_games())
     lps += captured_ns_lps(monkeypatch, _wide_ns_games(23))
-    lps = [lp for lp in lps if (lp.c >= 0.0).all()]
+    lps += captured_ns_lps(monkeypatch, _tied_wide_ns_games(23))
+    negative = captured_ns_lps(monkeypatch, negative_ns_games(5, 40))
     seen = Counter()
-    pivot, drive_out, iterate = simplex._pivot, simplex._drive_out, simplex._iterate
+    pivot, primal = simplex._pivot, simplex._primal
 
     def counted_pivot(*args):
         seen["pivot"] += 1
         pivot(*args)
 
-    def checked_drive_out(tableau, basis, names, real):
-        keep = drive_out(tableau, basis, names, real)
-        dropped = sorted(set(range(basis.size)) - set(keep))
-        assert basis[dropped].tolist() == [names.size + i for i in dropped]
-        seen["dropped row"] += len(dropped)
-        return keep
-
-    def counted_iterate(tableau, basis, names):
+    def checked_primal(tableau, basis, names, real):
         before = seen["pivot"]
-        iterate(tableau, basis, names)
+        primal(tableau, basis, names, real)
         seen["phase 2 pivot"] += seen["pivot"] - before
+        rows = (basis >= names.size).nonzero()[0]
+        assert basis[rows].tolist() == (names.size + rows).tolist()
+        assert np.abs(tableau[rows, -1]).max(initial=0.0) <= PIVOT_TOL
+        seen["artificial left basic"] += rows.size
+
+    def run(lps):
+        seen.clear()
+        for lp in lps:
+            try:
+                x, _ = solve(lp)
+            except LpInfeasibleError:
+                seen["infeasible"] += 1
+                continue
+            # independent of the tableau: x solves A x = b, x >= 0
+            assert np.abs(lp.a_eq @ x - lp.b_eq).max() <= 1e-12
+            assert x.min() >= 0.0
+        return seen.copy()
 
     monkeypatch.setattr(simplex, "_pivot", counted_pivot)
-    monkeypatch.setattr(simplex, "_drive_out", checked_drive_out)
-    monkeypatch.setattr(simplex, "_iterate", counted_iterate)
-    for lp in lps:
-        try:
-            solve(lp)
-        except LpInfeasibleError:
-            seen["infeasible"] += 1
-    assert len(lps) == 30 + 128 + 24
-    assert seen["phase 2 pivot"] == 0
-    assert seen["pivot"] >= 4000 and seen["dropped row"] >= 1000
+    monkeypatch.setattr(simplex, "_primal", checked_primal)
+    assert all((lp.c >= 0.0).all() for lp in lps)
+    assert len(lps) == 30 + 128 + 24 + 24
+    nonnegative = run(lps)
+    assert nonnegative["phase 2 pivot"] == 0
+    assert nonnegative["pivot"] >= 4000 and nonnegative["artificial left basic"] >= 1000
+    assert run(negative)["phase 2 pivot"] >= 100
